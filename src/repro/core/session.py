@@ -49,6 +49,7 @@ from repro.mining.engine import CandidateResult
 from repro.models.base import TwiceDifferentiableClassifier
 from repro.obs import trace
 from repro.obs.cost import CostReport
+from repro.obs.lazy import Lazy
 from repro.obs.metrics import MetricsRegistry
 
 # "exact" and "series" are first-class names for the two second-order
@@ -350,7 +351,6 @@ class AuditSession:
         self.artifacts: ModelArtifacts | None = None
         self.alphabet_cache: AlphabetCache | None = None
         self.setup_seconds: float = 0.0
-        self._contexts: dict[ProtectedGroup, FairnessContext] = {}
         self.last_audit: AuditResult | None = None
         self._last_audit_key: tuple | None = None
         # One registry per session: the shared caches register their
@@ -361,6 +361,7 @@ class AuditSession:
         # Guards the context memo and the last-audit bookmark so the read
         # path stays race-free under concurrent serving.
         self._lock = threading.Lock()
+        self._contexts = Lazy(self._lock)
 
     # ------------------------------------------------------------------
     def fit(
@@ -414,7 +415,7 @@ class AuditSession:
         # per-estimator-spec Δθ rows) pays; bare estimators keep it off.
         self.artifacts.enable_extent_caching()
         self.alphabet_cache = AlphabetCache(train.table, metrics=self.metrics)
-        self._contexts = {}
+        self._contexts.clear()
         self.last_audit = None
         self._last_audit_key = None
         self.setup_seconds = time.perf_counter() - start
@@ -514,23 +515,20 @@ class AuditSession:
         assert self.train_data is not None and self.test_data is not None
         assert self.X_test is not None
         resolved = group if group is not None else self.test_data.protected
-        if resolved not in self._contexts:
-            mask = resolved.privileged_mask(self.test_data.table)
-            if not mask.any() or mask.all():
-                side = "no rows" if not mask.any() else "every row"
-                raise ValueError(
-                    f"protected group '{resolved.describe()}' matches {side} of the "
-                    f"session's test split ({self.test_data.num_rows} rows); both "
-                    "sides of the comparison must be non-empty — check the "
-                    "privileged category/threshold against this split"
-                )
-            with trace.span("audit.context", group=resolved.describe()):
-                context = self.test_data.fairness_context(self.X_test, resolved)
-            # First build wins under the lock; a racing builder computed the
-            # same idempotent value and discards it.
-            with self._lock:
-                self._contexts.setdefault(resolved, context)
-        return self._contexts[resolved]
+        return self._contexts.get(lambda: self._build_context(resolved), resolved)
+
+    def _build_context(self, group: ProtectedGroup) -> FairnessContext:
+        mask = group.privileged_mask(self.test_data.table)
+        if not mask.any() or mask.all():
+            side = "no rows" if not mask.any() else "every row"
+            raise ValueError(
+                f"protected group '{group.describe()}' matches {side} of the "
+                f"session's test split ({self.test_data.num_rows} rows); both "
+                "sides of the comparison must be non-empty — check the "
+                "privileged category/threshold against this split"
+            )
+        with trace.span("audit.context", group=group.describe()):
+            return self.test_data.fairness_context(self.X_test, group)
 
     def estimator_for(
         self,

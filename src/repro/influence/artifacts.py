@@ -36,6 +36,7 @@ import numpy as np
 from repro.influence.hessian import HessianSolver
 from repro.models.base import TwiceDifferentiableClassifier
 from repro.obs import trace
+from repro.obs.lazy import Lazy
 from repro.obs.metrics import MetricsRegistry, StatsView
 
 
@@ -70,24 +71,6 @@ class ModelArtifacts:
         self.y_train = np.asarray(y_train)
         self.theta = np.asarray(model.theta, dtype=np.float64).copy()
         self.num_train = len(self.X_train)
-        self._per_sample_grads: np.ndarray | None = None
-        self._hessian: np.ndarray | None = None
-        self._solvers: dict[float, HessianSolver] = {}
-        self._factors: tuple[np.ndarray, np.ndarray, float] | None | str = "unset"
-        self._exact_rot: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-        self._auto_learning_rate: float | None = None
-        # Extent caches: packed-mask bytes → metric-independent per-row
-        # results (g_S gradient sums; per-estimator-spec Δθ rows).  Off by
-        # default so bare estimators keep per-instance accounting; sessions
-        # switch them on via enable_extent_caching().
-        self._extent_caching = False
-        self._grad_sum_cache: dict[bytes, np.ndarray] = {}
-        self._param_change_cache: dict[tuple, np.ndarray] = {}
-        self._update_state: tuple[np.ndarray, float] | None = None
-        # One re-entrant lock covers every lazy build and extent cache, so a
-        # cold bundle can serve mixed concurrent queries: exact_rotation
-        # re-enters hessian_factors/solver/per_sample_grads while held.
-        self._lock = threading.RLock()
         # Monotone staleness token: bumped by apply_edit.  Estimators record
         # it at construction and refuse to score once it moves on.
         self.version = 0
@@ -110,6 +93,35 @@ class ModelArtifacts:
             },
             registry=metrics,
             namespace="influence",
+        )
+        # One re-entrant lock covers every lazy build and extent cache, so a
+        # cold bundle can serve mixed concurrent queries: exact_rotation
+        # re-enters hessian_factors/solver/per_sample_grads while held.
+        self._lock = threading.RLock()
+        stats = self.stats
+        self._per_sample_grads = Lazy(self._lock, stats, counter="per_sample_grad_builds")
+        self._hessian = Lazy(self._lock, stats, counter="hessian_builds")
+        self._solvers = Lazy(self._lock, stats, counter="hessian_factorizations")
+        self._factors = Lazy(self._lock, stats, counter="rank_one_factor_builds")
+        self._exact_rot = Lazy(self._lock, stats, counter="exact_rotation_builds")
+        self._learning_rate = Lazy(self._lock, stats, counter="learning_rate_builds")
+        self._update_state = Lazy(self._lock, stats, counter="update_context_builds")
+        # Extent caches: packed-mask bytes → metric-independent per-row
+        # results (g_S gradient sums; per-estimator-spec Δθ rows).  Off by
+        # default so bare estimators keep per-instance accounting; sessions
+        # switch them on via enable_extent_caching().
+        self._extent_caching = False
+        self._grad_sum_cache = Lazy(
+            self._lock,
+            stats,
+            counter="gradient_sum_cache_misses",
+            hits="gradient_sum_cache_hits",
+        )
+        self._param_change_cache = Lazy(
+            self._lock,
+            stats,
+            counter="param_change_cache_misses",
+            hits="param_change_cache_hits",
         )
 
     # ------------------------------------------------------------------
@@ -153,36 +165,20 @@ class ModelArtifacts:
     @property
     def per_sample_grads(self) -> np.ndarray:
         """∇_θℓ(z_i, θ*) for all training rows, shape (n, p) — built once."""
-        if self._per_sample_grads is None:
-            with self._lock:
-                if self._per_sample_grads is None:
-                    trace.add("cache_misses")
-                    with trace.span("artifacts.per_sample_grads", n=self.num_train):
-                        self._per_sample_grads = self.model.per_sample_grads(
-                            self.X_train, self.y_train
-                        )
-                    self.stats.inc("per_sample_grad_builds")
-                else:
-                    trace.add("cache_hits")
-        else:
-            trace.add("cache_hits")
-        return self._per_sample_grads
+        return self._per_sample_grads.get(self._build_per_sample_grads)
+
+    def _build_per_sample_grads(self) -> np.ndarray:
+        with trace.span("artifacts.per_sample_grads", n=self.num_train):
+            return self.model.per_sample_grads(self.X_train, self.y_train)
 
     @property
     def hessian(self) -> np.ndarray:
         """The mean training Hessian H(θ*) — built once."""
-        if self._hessian is None:
-            with self._lock:
-                if self._hessian is None:
-                    trace.add("cache_misses")
-                    with trace.span("artifacts.hessian", n=self.num_train):
-                        self._hessian = self.model.hessian(self.X_train, self.y_train)
-                    self.stats.inc("hessian_builds")
-                else:
-                    trace.add("cache_hits")
-        else:
-            trace.add("cache_hits")
-        return self._hessian
+        return self._hessian.get(self._build_hessian)
+
+    def _build_hessian(self) -> np.ndarray:
+        with trace.span("artifacts.hessian", n=self.num_train):
+            return self.model.hessian(self.X_train, self.y_train)
 
     def solver(self, damping: float = 0.0) -> HessianSolver:
         """The shared :class:`HessianSolver` for a damping value.
@@ -193,36 +189,17 @@ class ModelArtifacts:
         same cached factor.
         """
         key = float(damping)
-        if key not in self._solvers:
-            with self._lock:
-                if key not in self._solvers:
-                    trace.add("cache_misses")
-                    self._solvers[key] = HessianSolver(self.hessian, damping=key)
-                    self.stats.inc("hessian_factorizations")
-                else:
-                    trace.add("cache_hits")
-        else:
-            trace.add("cache_hits")
-        return self._solvers[key]
+        return self._solvers.get(lambda: HessianSolver(self.hessian, damping=key), key)
 
     def hessian_factors(self) -> tuple[np.ndarray, np.ndarray, float] | None:
         """The model's rank-one Hessian factors, or None if unavailable."""
-        if self._factors == "unset":
-            with self._lock:
-                if self._factors == "unset":
-                    trace.add("cache_misses")
-                    try:
-                        self._factors = self.model.hessian_factors(
-                            self.X_train, self.y_train
-                        )
-                    except NotImplementedError:
-                        self._factors = None
-                    self.stats.inc("rank_one_factor_builds")
-                else:
-                    trace.add("cache_hits")
-        else:
-            trace.add("cache_hits")
-        return self._factors  # type: ignore[return-value]
+        return self._factors.get(self._build_hessian_factors)
+
+    def _build_hessian_factors(self) -> tuple[np.ndarray, np.ndarray, float] | None:
+        try:
+            return self.model.hessian_factors(self.X_train, self.y_train)
+        except NotImplementedError:
+            return None
 
     def exact_rotation(self, damping: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         """Eigenbasis-rotated (per-sample grads, √w-scaled curvature rows).
@@ -235,32 +212,23 @@ class ModelArtifacts:
         check :meth:`hessian_factors` first.
         """
         key = float(damping)
-        if key not in self._exact_rot:
-            with self._lock:
-                if key not in self._exact_rot:
-                    trace.add("cache_misses")
-                    with trace.span("artifacts.exact_rotation", n=self.num_train) as s:
-                        factors = self.hessian_factors()
-                        if factors is None:
-                            raise ValueError(
-                                "model exposes no rank-one Hessian factors to rotate"
-                            )
-                        phi, weights, _ = factors
-                        eigvecs = self.solver(key).eigendecomposition()[1]
-                        curved = weights > 0.0
-                        sqrt_w = np.sqrt(weights, where=curved, out=np.zeros_like(weights))
-                        p = eigvecs.shape[0]
-                        s.add("gemm_flops", 2.0 * 2 * self.num_train * p * p)
-                        self._exact_rot[key] = (
-                            self.per_sample_grads @ eigvecs,
-                            (phi * sqrt_w[:, None]) @ eigvecs,
-                        )
-                    self.stats.inc("exact_rotation_builds")
-                else:
-                    trace.add("cache_hits")
-        else:
-            trace.add("cache_hits")
-        return self._exact_rot[key]
+        return self._exact_rot.get(lambda: self._build_exact_rotation(key), key)
+
+    def _build_exact_rotation(self, damping: float) -> tuple[np.ndarray, np.ndarray]:
+        with trace.span("artifacts.exact_rotation", n=self.num_train) as s:
+            factors = self.hessian_factors()
+            if factors is None:
+                raise ValueError("model exposes no rank-one Hessian factors to rotate")
+            phi, weights, _ = factors
+            eigvecs = self.solver(damping).eigendecomposition()[1]
+            curved = weights > 0.0
+            sqrt_w = np.sqrt(weights, where=curved, out=np.zeros_like(weights))
+            p = eigvecs.shape[0]
+            s.add("gemm_flops", 2.0 * 2 * self.num_train * p * p)
+            return (
+                self.per_sample_grads @ eigvecs,
+                (phi * sqrt_w[:, None]) @ eigvecs,
+            )
 
     # ------------------------------------------------------------------
     def apply_edit(
@@ -347,8 +315,9 @@ class ModelArtifacts:
 
         # -- mean Hessian: subset-Hessian identity, L2 terms cancel -------
         new_hessian: np.ndarray | None = None
-        if self._hessian is not None:
-            total = self._hessian * n
+        hessian = self._hessian.peek()
+        if hessian is not None:
+            total = hessian * n
             if relabel.size:
                 X_rel = self.X_train[relabel]
                 total = total + relabel.size * (
@@ -365,7 +334,8 @@ class ModelArtifacts:
 
         # -- fresh per-row state the patches below splice in --------------
         grads_rel = grads_add = None
-        if self._per_sample_grads is not None:
+        grads = self._per_sample_grads.peek()
+        if grads is not None:
             if relabel.size:
                 grads_rel = model.per_sample_grads(
                     self.X_train[relabel], y_patched[relabel]
@@ -374,7 +344,7 @@ class ModelArtifacts:
                 grads_add = model.per_sample_grads(X_add, y_add)
         phi_rel = w_rel = phi_add = w_add = None
         update_vectors = update_weights = None
-        factors = self._factors if isinstance(self._factors, tuple) else None
+        factors = self._factors.peek()
         if factors is not None:
             phi_old, w_old, l2_ridge = factors
             if relabel.size:
@@ -400,7 +370,7 @@ class ModelArtifacts:
 
         # -- solvers (and their exact-rotation row caches) -----------------
         scale = n / n_new
-        for key, old_solver in list(self._solvers.items()):
+        for key, old_solver in self._solvers.items():
             if new_hessian is None:
                 raise RuntimeError("solver cache exists without a built hessian")
             if update_vectors is not None:
@@ -414,9 +384,10 @@ class ModelArtifacts:
                 )
             else:
                 new_solver, W = old_solver.updated(new_hessian)
-            if key in self._exact_rot:
+            rotation = self._exact_rot.peek(key)
+            if rotation is not None:
                 Q = old_solver.eigendecomposition()[1]
-                grad_rot, curve_rot = self._exact_rot[key]
+                grad_rot, curve_rot = rotation
                 if relabel.size:
                     grad_rot = grad_rot.copy()
                     curve_rot = curve_rot.copy()
@@ -431,21 +402,20 @@ class ModelArtifacts:
                     sqrt_w = np.sqrt(w_add, where=curved, out=np.zeros_like(w_add))
                     grad_rot = np.vstack([grad_rot, grads_add @ Q])
                     curve_rot = np.vstack([curve_rot, (phi_add * sqrt_w[:, None]) @ Q])
-                self._exact_rot[key] = (grad_rot @ W, curve_rot @ W)
+                self._exact_rot.set((grad_rot @ W, curve_rot @ W), key)
                 self.stats.inc("exact_rotation_patches")
-            self._solvers[key] = new_solver
+            self._solvers.set(new_solver, key)
             self.stats.inc("solver_updates")
 
         # -- row-wise caches and the data itself ---------------------------
-        if self._per_sample_grads is not None:
-            grads = self._per_sample_grads
+        if grads is not None:
             if relabel.size:
                 grads = grads.copy()
                 grads[relabel] = grads_rel
             grads = grads[keep]
             if k_add:
                 grads = np.vstack([grads, grads_add])
-            self._per_sample_grads = grads
+            self._per_sample_grads.set(grads)
         if factors is not None:
             phi_new, w_new = phi_old, w_old
             if relabel.size:
@@ -456,9 +426,9 @@ class ModelArtifacts:
             if k_add:
                 phi_new = np.vstack([phi_new, phi_add])
                 w_new = np.concatenate([w_new, w_add])
-            self._factors = (phi_new, w_new, l2_ridge)
+            self._factors.set((phi_new, w_new, l2_ridge))
         if new_hessian is not None:
-            self._hessian = new_hessian
+            self._hessian.set(new_hessian)
         X_new = self.X_train[keep] if remove.size else self.X_train
         y_new = y_patched[keep] if remove.size else y_patched
         if k_add:
@@ -467,31 +437,21 @@ class ModelArtifacts:
         self.X_train = X_new
         self.y_train = y_new
         self.num_train = n_new
-        self._auto_learning_rate = None
+        self._learning_rate.clear()
         # Extent keys refer to pre-edit row indices and the cached rows to
         # pre-edit gradients; both restart empty.  The update-search state
         # holds the pre-edit Hessian/η and is re-derived lazily.
         self._grad_sum_cache.clear()
         self._param_change_cache.clear()
-        self._update_state = None
+        self._update_state.clear()
         self.version += 1
         self.stats.inc("edits")
 
     def auto_learning_rate(self) -> float:
         """η = 1/λ_max(H), the shared one-step surrogate step size."""
-        if self._auto_learning_rate is None:
-            with self._lock:
-                if self._auto_learning_rate is None:
-                    from repro.influence.one_step_gd import auto_learning_rate
+        from repro.influence.one_step_gd import auto_learning_rate
 
-                    trace.add("cache_misses")
-                    self._auto_learning_rate = auto_learning_rate(self.hessian)
-                    self.stats.inc("learning_rate_builds")
-                else:
-                    trace.add("cache_hits")
-        else:
-            trace.add("cache_hits")
-        return self._auto_learning_rate
+        return self._learning_rate.get(lambda: auto_learning_rate(self.hessian))
 
     # ------------------------------------------------------------------
     @property
@@ -534,40 +494,18 @@ class ModelArtifacts:
         """
         mask_f = np.asarray(masks).astype(np.float64)
         grads = self.per_sample_grads
-        m, n = mask_f.shape
-        p = grads.shape[1]
-        if not self._extent_caching:
+
+        def gemm(rows) -> np.ndarray:
+            block = mask_f[rows]
+            m, n = block.shape
+            p = grads.shape[1]
             with trace.span("influence.gemm", m=m, n=n, p=p) as s:
                 s.add("gemm_flops", 2.0 * m * n * p)
-                return mask_f @ grads
-        keys = self._extent_keys(masks)
-        with self._lock:
-            cache = self._grad_sum_cache
-            compute_rows: list[int] = []
-            novel: set[bytes] = set()
-            for i, key in enumerate(keys):
-                if key not in cache and key not in novel:
-                    novel.add(key)
-                    compute_rows.append(i)
-            hits = m - len(compute_rows)
-            self.stats.inc("gradient_sum_cache_hits", hits)
-            self.stats.inc("gradient_sum_cache_misses", len(compute_rows))
-            trace.add("cache_hits", hits)
-            trace.add("cache_misses", len(compute_rows))
-            if compute_rows:
-                block = mask_f if len(compute_rows) == m else mask_f[np.asarray(compute_rows)]
-                k = block.shape[0]
-                with trace.span("influence.gemm", m=k, n=n, p=p) as s:
-                    s.add("gemm_flops", 2.0 * k * n * p)
-                    computed = block @ grads
-                for j, i in enumerate(compute_rows):
-                    cache[keys[i]] = computed[j].copy()
-                if hits == 0 and len(compute_rows) == m:
-                    return computed
-            out = np.empty((m, p), dtype=np.float64)
-            for i, key in enumerate(keys):
-                out[i] = cache[key]
-            return out
+                return block @ grads
+
+        if not self._extent_caching or len(mask_f) == 0:
+            return gemm(slice(None))
+        return self._grad_sum_cache.get_many(self._extent_keys(masks), gemm)
 
     def cached_param_changes(self, spec: tuple, masks: np.ndarray, compute) -> np.ndarray:
         """Per-row Δθ for removal extents, computing only novel extents.
@@ -581,38 +519,11 @@ class ModelArtifacts:
         freshly assembled (cached rows are private copies), so callers may
         mutate the result.
         """
-        m = np.asarray(masks).shape[0]
-        if not self._extent_caching or m == 0:
+        masks = np.asarray(masks)
+        if not self._extent_caching or len(masks) == 0:
             return compute(masks)
         keys = [(spec, key) for key in self._extent_keys(masks)]
-        with self._lock:
-            cache = self._param_change_cache
-            compute_rows: list[int] = []
-            novel: set[tuple] = set()
-            for i, key in enumerate(keys):
-                if key not in cache and key not in novel:
-                    novel.add(key)
-                    compute_rows.append(i)
-            hits = m - len(compute_rows)
-            self.stats.inc("param_change_cache_hits", hits)
-            self.stats.inc("param_change_cache_misses", len(compute_rows))
-            trace.add("cache_hits", hits)
-            trace.add("cache_misses", len(compute_rows))
-            if len(compute_rows) == m:
-                computed = compute(masks)
-                for j, i in enumerate(compute_rows):
-                    cache[keys[i]] = computed[j].copy()
-                return computed
-            if compute_rows:
-                rows = np.asarray(compute_rows)
-                computed = compute(np.asarray(masks)[rows])
-                for j, i in enumerate(compute_rows):
-                    cache[keys[i]] = computed[j].copy()
-            first = cache[keys[0]]
-            out = np.empty((m, first.shape[0]), dtype=np.float64)
-            for i, key in enumerate(keys):
-                out[i] = cache[key]
-            return out
+        return self._param_change_cache.get_many(keys, lambda rows: compute(masks[rows]))
 
     def update_search_state(self) -> tuple[np.ndarray, float]:
         """The metric-independent half of the §5 update-search context.
@@ -625,18 +536,11 @@ class ModelArtifacts:
         so a profiled audit shows exactly one build however many explainer
         views call ``explain_updates``.
         """
-        if self._update_state is None:
-            with self._lock:
-                if self._update_state is None:
-                    trace.add("cache_misses")
-                    with trace.span("update.context", n=self.num_train):
-                        self._update_state = (self.hessian, self.auto_learning_rate())
-                    self.stats.inc("update_context_builds")
-                else:
-                    trace.add("cache_hits")
-        else:
-            trace.add("cache_hits")
-        return self._update_state
+        return self._update_state.get(self._build_update_search_state)
+
+    def _build_update_search_state(self) -> tuple[np.ndarray, float]:
+        with trace.span("update.context", n=self.num_train):
+            return self.hessian, self.auto_learning_rate()
 
     # ------------------------------------------------------------------
     def warm(

@@ -96,6 +96,7 @@ Batched evaluation is ``deltas @ ∇F`` for ``"linear"`` and a single
 
 from __future__ import annotations
 
+import threading
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -104,6 +105,7 @@ from repro.fairness.metrics import FairnessContext, FairnessMetric
 from repro.influence.artifacts import ModelArtifacts
 from repro.models.base import TwiceDifferentiableClassifier
 from repro.obs import trace
+from repro.obs.lazy import Lazy
 
 _EVALUATIONS = ("linear", "smooth", "hard")
 
@@ -145,19 +147,20 @@ class InfluenceEstimator(ABC):
         self._artifacts_version = artifacts.version
         self.original_bias = metric.value(model, test_ctx)
         self.original_surrogate = metric.surrogate(model, test_ctx)
-        self._grad_f: np.ndarray | None = None
+        # Guards this estimator's per-query memos (∇F, and the subclasses'
+        # own) so concurrent readers of one estimator build each once.
+        self._lock = threading.RLock()
+        self._grad_f = Lazy(self._lock)
 
     # -- cached heavy pieces -------------------------------------------
     @property
     def grad_f(self) -> np.ndarray:
         """∇_θF(θ*) of the smooth surrogate (cached)."""
-        if self._grad_f is None:
-            trace.add("cache_misses")
-            with trace.span("influence.grad_f", metric=self.metric.name):
-                self._grad_f = self.metric.grad_theta(self.model, self.test_ctx)
-        else:
-            trace.add("cache_hits")
-        return self._grad_f
+        return self._grad_f.get(self._build_grad_f)
+
+    def _build_grad_f(self) -> np.ndarray:
+        with trace.span("influence.grad_f", metric=self.metric.name):
+            return self.metric.grad_theta(self.model, self.test_ctx)
 
     def warm(self) -> "InfluenceEstimator":
         """Eagerly build every cache the query methods would build lazily.

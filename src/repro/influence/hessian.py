@@ -16,6 +16,7 @@ from scipy import linalg
 from scipy.sparse.linalg import LinearOperator, cg
 
 from repro.obs import trace
+from repro.obs.lazy import Lazy
 from repro.obs.metrics import StatsView
 
 
@@ -45,9 +46,12 @@ class HessianSolver:
         self.hessian = hessian
         self.damping_used = 0.0
         self.stats = StatsView({"eigendecompositions": 0}, namespace="hessian")
+        # Both lazy slots share the solver's one lock: the exact estimator's
+        # dense fallback builds thousands of small solvers per audit.
         self._lock = threading.RLock()
-        self._factor = self._factorize(hessian, damping)
-        self._eig: tuple[np.ndarray, np.ndarray] | None = None
+        self._factor = Lazy(self._lock)
+        self._eig = Lazy(self._lock, self.stats, counter="eigendecompositions")
+        self._factor.set(self._factorize(hessian, damping))
 
     @classmethod
     def from_eigendecomposition(
@@ -79,6 +83,8 @@ class HessianSolver:
         self.hessian = hessian
         self.stats = StatsView({"eigendecompositions": 0}, namespace="hessian")
         self._lock = threading.RLock()
+        self._factor = Lazy(self._lock)
+        self._eig = Lazy(self._lock, self.stats, counter="eigendecompositions")
         eigvals = np.asarray(eigvals, dtype=np.float64)
         eigvecs = np.asarray(eigvecs, dtype=np.float64)
         if eigvals.shape != (self.dim,) or eigvecs.shape != (self.dim, self.dim):
@@ -93,13 +99,18 @@ class HessianSolver:
                 self.damping_used = ridge
                 if ridge != base:
                     eigvals = eigvals + (ridge - base)
-                self._factor = None
-                self._eig = (eigvals, eigvecs)
+                self._eig.set((eigvals, eigvecs))
                 return self
             ridge = max(ridge * 10.0, 1e-8)
         raise np.linalg.LinAlgError(
             f"hessian could not be made positive definite even with damping {ridge:.1e}"
         )
+
+    def _damped(self) -> np.ndarray:
+        """The matrix this solver inverts: the Hessian plus ``damping_used·I``."""
+        if self.damping_used:
+            return self.hessian + self.damping_used * np.eye(self.dim)
+        return self.hessian
 
     @property
     def factor(self):
@@ -111,14 +122,7 @@ class HessianSolver:
         mode solver the factor is materialized lazily on first access —
         solves never need it there.
         """
-        if self._factor is None:
-            with self._lock:
-                if self._factor is None:
-                    matrix = self.hessian
-                    if self.damping_used:
-                        matrix = matrix + self.damping_used * np.eye(self.dim)
-                    self._factor = linalg.cho_factor(matrix, check_finite=False)
-        return self._factor
+        return self._factor.get(lambda: linalg.cho_factor(self._damped(), check_finite=False))
 
     def updated(
         self,
@@ -185,16 +189,11 @@ class HessianSolver:
         is the standalone-solve form of the same primitive for other
         callers.
         """
-        if self._eig is None:
-            with self._lock:
-                if self._eig is None:
-                    with trace.span("hessian.eigendecomposition", dim=self.dim):
-                        matrix = self.hessian
-                        if self.damping_used:
-                            matrix = matrix + self.damping_used * np.eye(self.dim)
-                        self._eig = linalg.eigh(matrix, check_finite=False)
-                    self.stats.inc("eigendecompositions")
-        return self._eig
+        return self._eig.get(self._eigendecompose)
+
+    def _eigendecompose(self) -> tuple[np.ndarray, np.ndarray]:
+        with trace.span("hessian.eigendecomposition", dim=self.dim):
+            return linalg.eigh(self._damped(), check_finite=False)
 
     def shifted_solve_many(self, B: np.ndarray, shifts: np.ndarray) -> np.ndarray:
         """Solve ``(M + shift_k·I) x_k = b_k`` for every row ``b_k`` of B.
@@ -252,9 +251,10 @@ class HessianSolver:
         rhs = 1 if b.ndim == 1 else b.shape[1]
         with trace.span("hessian.solve", n=self.dim, rhs=rhs) as s:
             s.add("solve_flops", 2.0 * self.dim * self.dim * rhs)
-            if self._factor is not None:
-                return linalg.cho_solve(self._factor, b, check_finite=False)
-            eigvals, eigvecs = self._eig  # type: ignore[misc]
+            factor = self._factor.peek()
+            if factor is not None:
+                return linalg.cho_solve(factor, b, check_finite=False)
+            eigvals, eigvecs = self._eig.peek()
             proj = eigvecs.T @ b
             proj = proj / (eigvals if proj.ndim == 1 else eigvals[:, None])
             return eigvecs @ proj
@@ -271,10 +271,11 @@ class HessianSolver:
         if B.shape[0] == 0:
             return np.zeros_like(B)
         with trace.span("hessian.solve", n=self.dim, rhs=B.shape[0]) as s:
-            if self._factor is not None:
+            factor = self._factor.peek()
+            if factor is not None:
                 s.add("solve_flops", 2.0 * self.dim * self.dim * B.shape[0])
-                return linalg.cho_solve(self._factor, B.T, check_finite=False).T
-            eigvals, eigvecs = self._eig  # type: ignore[misc]
+                return linalg.cho_solve(factor, B.T, check_finite=False).T
+            eigvals, eigvecs = self._eig.peek()
             s.add("solve_flops", 4.0 * self.dim * self.dim * B.shape[0])
             return ((B @ eigvecs) / eigvals[None, :]) @ eigvecs.T
 

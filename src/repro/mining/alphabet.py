@@ -53,6 +53,7 @@ import numpy as np
 
 from repro.mining.bitset import pack_rows, packed_width, popcount, unpack_rows
 from repro.obs import trace
+from repro.obs.lazy import Lazy
 from repro.obs.metrics import MetricsRegistry, StatsView
 from repro.patterns.candidates import iter_predicate_specs, normalize_exclude_features
 from repro.patterns.predicate import Predicate
@@ -124,11 +125,11 @@ class PredicateAlphabet:
             raise ValueError(f"block_rows must be a multiple of 8, got {self._block_rows}")
         self._evaluated: dict[Predicate, np.ndarray] = {}
         self._build(table)
-        self._miner_items: tuple[list[Predicate], np.ndarray] | None = None
-        self._skeleton: tuple[np.ndarray, np.ndarray, list] | None = None
         # Guards the lazy views (miner_items / pair_skeleton) so a cold
         # alphabet shared across threads builds each exactly once.
         self._lock = threading.Lock()
+        self._miner_items = Lazy(self._lock, self._stats, counter="tidlist_builds")
+        self._skeleton = Lazy(self._lock, self._stats, counter="skeleton_builds")
 
     def _build(self, table: Table) -> None:
         """Evaluate every spec of ``table`` in canonical order — the full build."""
@@ -251,9 +252,9 @@ class PredicateAlphabet:
         if old_entry_predicates != [predicate for predicate, _ in self.entries]:
             # The support filter moved an entry in or out: the level-2
             # merge skeleton no longer describes the entry list.
-            self._skeleton = None
-        if self._miner_items is not None:
-            self._miner_items = self._pack_items()
+            self._skeleton.clear()
+        if self._miner_items.peek() is not None:
+            self._miner_items.set(self._pack_items())
             self._stats.inc("tidlist_patches")
 
     # ------------------------------------------------------------------
@@ -286,40 +287,29 @@ class PredicateAlphabet:
         here once, then reuses it across every (metric, estimator) query
         and every subsequent edit.
         """
-        if self._skeleton is None:
-            with self._lock:
-                if self._skeleton is None:
-                    from repro.patterns.pattern import Pattern
+        return self._skeleton.get(self._build_pair_skeleton)
 
-                    trace.add("cache_misses")
-                    predicates = [predicate for predicate, _ in self.entries]
-                    left: list[int] = []
-                    right: list[int] = []
-                    patterns: list = []
-                    seen = set()
-                    singles = [Pattern([predicate]) for predicate in predicates]
-                    for i in range(len(singles)):
-                        for j in range(i + 1, len(singles)):
-                            merged = singles[i].merge(singles[j])
-                            if len(merged) != 2 or merged in seen:
-                                continue
-                            seen.add(merged)
-                            if not merged.is_satisfiable():
-                                continue
-                            left.append(i)
-                            right.append(j)
-                            patterns.append(merged)
-                    self._skeleton = (
-                        np.array(left, dtype=np.int64),
-                        np.array(right, dtype=np.int64),
-                        patterns,
-                    )
-                    self._stats.inc("skeleton_builds")
-                else:
-                    trace.add("cache_hits")
-        else:
-            trace.add("cache_hits")
-        return self._skeleton
+    def _build_pair_skeleton(self) -> tuple[np.ndarray, np.ndarray, list]:
+        from repro.patterns.pattern import Pattern
+
+        predicates = [predicate for predicate, _ in self.entries]
+        left: list[int] = []
+        right: list[int] = []
+        patterns: list = []
+        seen = set()
+        singles = [Pattern([predicate]) for predicate in predicates]
+        for i in range(len(singles)):
+            for j in range(i + 1, len(singles)):
+                merged = singles[i].merge(singles[j])
+                if len(merged) != 2 or merged in seen:
+                    continue
+                seen.add(merged)
+                if not merged.is_satisfiable():
+                    continue
+                left.append(i)
+                right.append(j)
+                patterns.append(merged)
+        return np.array(left, dtype=np.int64), np.array(right, dtype=np.int64), patterns
 
     def miner_items(self) -> tuple[list[Predicate], np.ndarray]:
         """The miner's view: frequency-ascending predicates + packed tids.
@@ -330,18 +320,11 @@ class PredicateAlphabet:
         mining query of the audit.  See :mod:`repro.mining.closed` for why
         the order must be frequency-ascending with sort-key tie-breaks.
         """
-        if self._miner_items is None:
-            with self._lock:
-                if self._miner_items is None:
-                    trace.add("cache_misses")
-                    with trace.span("alphabet.pack_tidlists", entries=len(self.entries)):
-                        self._miner_items = self._pack_items()
-                    self._stats.inc("tidlist_builds")
-                else:
-                    trace.add("cache_hits")
-        else:
-            trace.add("cache_hits")
-        return self._miner_items
+        return self._miner_items.get(self._build_miner_items)
+
+    def _build_miner_items(self) -> tuple[list[Predicate], np.ndarray]:
+        with trace.span("alphabet.pack_tidlists", entries=len(self.entries)):
+            return self._pack_items()
 
     def warm(self, miner: bool = True, skeleton: bool = False) -> "PredicateAlphabet":
         """Eagerly build the lazy views so shared reads never trigger a build.
@@ -398,10 +381,6 @@ class AlphabetCache:
 
     def __init__(self, table: Table, metrics: MetricsRegistry | None = None) -> None:
         self.table = table
-        self._alphabets: dict[tuple, PredicateAlphabet] = {}
-        # Guards cache population so concurrent cold queries on a shared
-        # session build one alphabet per key, not one per thread.
-        self._lock = threading.Lock()
         self.stats = StatsView(
             {
                 "alphabet_builds": 0,
@@ -418,6 +397,10 @@ class AlphabetCache:
             registry=metrics,
             namespace="mining",
         )
+        # Guards cache population so concurrent cold queries on a shared
+        # session build one alphabet per key, not one per thread.
+        self._lock = threading.Lock()
+        self._alphabets = Lazy(self._lock, self.stats, counter="alphabet_builds")
 
     def get(
         self,
@@ -434,22 +417,12 @@ class AlphabetCache:
         """
         exclude = normalize_exclude_features(exclude_features)
         key = (float(support_threshold), int(num_bins), exclude)
-        alphabet = self._alphabets.get(key)
-        if alphabet is None:
-            with self._lock:
-                alphabet = self._alphabets.get(key)
-                if alphabet is None:
-                    trace.add("cache_misses")
-                    alphabet = PredicateAlphabet(
-                        self.table, support_threshold, num_bins, exclude, self.stats
-                    )
-                    self._alphabets[key] = alphabet
-                    self.stats.inc("alphabet_builds")
-                else:
-                    trace.add("cache_hits")
-        else:
-            trace.add("cache_hits")
-        return alphabet
+        return self._alphabets.get(
+            lambda: PredicateAlphabet(
+                self.table, support_threshold, num_bins, exclude, self.stats
+            ),
+            key,
+        )
 
     def apply_edit(self, edit, new_table: Table) -> None:
         """Patch every cached alphabet for ``edit`` and rebind to ``new_table``.

@@ -12,10 +12,15 @@ Three layers, always compiled in, near-free when disabled:
 * :mod:`repro.obs.cost` — per-query :class:`CostReport` (GEMM/solve
   FLOPs from recorded shapes, influence evaluations, cache hit ratios,
   ``%self`` wall-time breakdown) derived from one query's span subtree.
+
+:class:`~repro.obs.lazy.Lazy` is the build-once slot every shared cache
+stores its lazily built state in; it counts each build into a
+:class:`StatsView` and records hits and misses on the current span.
 """
 
 from repro.obs import trace
 from repro.obs.cost import CostLine, CostReport, gemm_flops, solve_flops
+from repro.obs.lazy import Lazy
 from repro.obs.metrics import MetricsRegistry, StatsView
 from repro.obs.trace import (
     NULL_SPAN,
@@ -35,6 +40,7 @@ __all__ = [
     "NULL_TRACER",
     "CostLine",
     "CostReport",
+    "Lazy",
     "MetricsRegistry",
     "NullTracer",
     "Span",

@@ -25,6 +25,8 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
+from repro.obs.lazy import Lazy
+
 #: How deep the attribute/container walk follows object graphs.  The
 #: session's shared caches are all within a few hops; the cap keeps the
 #: walk from wandering into unrelated object graphs through back-pointers.
@@ -32,8 +34,8 @@ _MAX_DEPTH = 6
 
 
 def iter_arrays(obj: object, depth: int = 0, seen: set[int] | None = None) -> Iterator[np.ndarray]:
-    """Yield every ndarray reachable from ``obj`` through dicts, sequences,
-    and instance ``__dict__`` attributes (cycle-safe, depth-capped)."""
+    """Yield every ndarray reachable from ``obj`` through dicts, lazy slots,
+    sequences, and instance ``__dict__`` attributes (cycle-safe, depth-capped)."""
     if obj is None or depth > _MAX_DEPTH:
         return
     if seen is None:
@@ -44,7 +46,9 @@ def iter_arrays(obj: object, depth: int = 0, seen: set[int] | None = None) -> It
     if isinstance(obj, np.ndarray):
         yield obj
         return
-    if isinstance(obj, dict):
+    # A lazy slot is walked like the dict of its built values: one hop,
+    # where its instance __dict__ would cost two of the depth budget.
+    if isinstance(obj, (dict, Lazy)):
         for value in obj.values():
             yield from iter_arrays(value, depth + 1, seen)
         return

@@ -14,9 +14,9 @@ shared state (the RL001 contract, enforced statically by
 The cold-session variant (no ``warm()``) is the harder contract: every
 lazy build — per-sample gradients, the Hessian factorization, the
 exact-variant rotations, packed tidlists, the pair skeleton, the extent
-caches, the ``context_for`` memo — races under the hammer, and each sits
-behind a double-checked lock (or a first-build-wins ``setdefault`` under
-the session lock), so the pool builds each exactly once and every answer
+caches, the ``context_for`` memo — races under the hammer, and each is a
+:class:`repro.obs.lazy.Lazy` slot (a double-checked build under its
+owner's lock), so the pool builds each exactly once and every answer
 matches the serial run bit for bit.
 """
 
@@ -56,12 +56,15 @@ def _bias_batch(session: AuditSession, metric: str, masks: np.ndarray):
     return estimator.bias_change_batch(masks)
 
 
-def _geometry_key(session: AuditSession):
+def _alphabet(session: AuditSession):
     cfg = session.config
-    alphabet = session.alphabet_cache.get(
+    return session.alphabet_cache.get(
         cfg.support_threshold, cfg.num_bins, cfg.exclude_features or None
     )
-    geometry = replay_geometry(alphabet, cfg.support_threshold)
+
+
+def _geometry_key(session: AuditSession):
+    geometry = replay_geometry(_alphabet(session), session.config.support_threshold)
     return geometry.pairs, geometry.sizes2, geometry.supports2
 
 
@@ -96,12 +99,28 @@ def _hammer(session: AuditSession):
     _assert_same(serial, hammered)
 
 
+# One array from every kind of lazy slot the warmed session serves, plus
+# the encoded test matrix: a slot the freezer's walk cannot see would
+# leave its cached arrays writeable.
+LAZY_ARRAYS = {
+    "per_sample_grads": lambda s: s.artifacts.per_sample_grads,
+    "hessian": lambda s: s.artifacts.hessian,
+    "eigendecomposition": lambda s: s.artifacts.solver(0.0).eigendecomposition()[1],
+    "exact_rotation": lambda s: s.artifacts.exact_rotation(0.0)[1],
+    "packed_tidlists": lambda s: _alphabet(s).miner_items()[1],
+    "fairness_context": lambda s: s.context_for().privileged,
+    "X_test": lambda s: s.X_test,
+}
+
+
 class TestFreezer:
-    def test_frozen_session_blocks_inplace_writes(self, frozen_session):
+    @pytest.mark.parametrize("slot", sorted(LAZY_ARRAYS))
+    def test_frozen_session_blocks_inplace_writes(self, frozen_session, slot):
+        before = dict(frozen_session.stats)
+        array = LAZY_ARRAYS[slot](frozen_session)
+        assert frozen_session.stats == before, "the slot was not warmed before freezing"
         with pytest.raises(ValueError, match="read-only"):
-            frozen_session.artifacts.per_sample_grads[0, 0] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            frozen_session.X_test[0, 0] = 1.0
+            array[(0,) * array.ndim] = array[(0,) * array.ndim]
 
     def test_thaw_restores_writeable(self):
         arrays = {"a": np.zeros(3), "b": (np.ones(2), "not-an-array")}

@@ -135,7 +135,7 @@ class TestFrozenLanguageUnderEdits:
         """If the support filter moves an entry, the cached skeleton is dropped."""
         alphabet = cache.get(TAU)
         alphabet.pair_skeleton()
-        assert alphabet._skeleton is not None
+        assert alphabet._skeleton.peek() is not None
         # Remove precisely the supporting rows of the thinnest entry so it
         # falls below τ — a guaranteed entry-list change.
         thinnest = min(alphabet.entries, key=lambda pair: pair[1].sum())
@@ -143,7 +143,7 @@ class TestFrozenLanguageUnderEdits:
         edit = DataEdit.remove(drop)
         cache.apply_edit(edit, german_train.apply_edit(edit).table)
         assert thinnest[0] not in [p for p, _ in alphabet.entries]
-        assert alphabet._skeleton is None
+        assert alphabet._skeleton.peek() is None
 
     def test_stable_edit_keeps_pair_skeleton(self, cache, german_train):
         alphabet = cache.get(TAU)

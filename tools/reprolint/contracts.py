@@ -9,9 +9,14 @@ allowed to live, and which paths carry fairness-metric arithmetic.
 
 The rules take the contract set as an argument, so fixture tests inject
 tiny synthetic contracts and the CLI injects :data:`REPRO_CONTRACTS` —
-the registry below, which is the authoritative list of this repo's cache
-entry points.  Adding a cache elsewhere in the tree without registering
-it here is exactly what RL001 exists to catch.
+the registry below.  Caches built on the lazy-build primitive
+(:class:`repro.obs.lazy.Lazy`) are *derived*, not registered: their
+builds write no ``self`` attribute, RL002 checks the ``counter=`` /
+``hits=`` literals of each ``Lazy(...)`` construction, and RL001 treats
+``set`` / ``clear`` on a slot as a write.  The registry lists only the
+remaining hand-written build, patch and start-up entry points; adding a
+hand-written cache elsewhere without registering it is exactly what
+RL001 exists to catch.
 """
 
 from __future__ import annotations
@@ -105,17 +110,6 @@ REPRO_CONTRACTS = ContractSet(
     ),
     build_methods={
         # -- ModelArtifacts: the per-model cache bundle --------------------
-        ("ModelArtifacts", "per_sample_grads"): BuildContract("per_sample_grad_builds"),
-        ("ModelArtifacts", "hessian"): BuildContract("hessian_builds"),
-        ("ModelArtifacts", "solver"): BuildContract("hessian_factorizations"),
-        ("ModelArtifacts", "hessian_factors"): BuildContract("rank_one_factor_builds"),
-        ("ModelArtifacts", "exact_rotation"): BuildContract("exact_rotation_builds"),
-        ("ModelArtifacts", "auto_learning_rate"): BuildContract("learning_rate_builds"),
-        ("ModelArtifacts", "gradient_sums"): BuildContract("gradient_sum_cache_misses"),
-        ("ModelArtifacts", "cached_param_changes"): BuildContract(
-            "param_change_cache_misses"
-        ),
-        ("ModelArtifacts", "update_search_state"): BuildContract("update_context_builds"),
         ("ModelArtifacts", "enable_extent_caching"): BuildContract(
             None,
             reason="session start-up switch flipped by AuditSession.fit before the "
@@ -126,12 +120,6 @@ REPRO_CONTRACTS = ContractSet(
             None, reason="eager driver: every build it triggers is counted by its own entry"
         ),
         # -- HessianSolver -------------------------------------------------
-        ("HessianSolver", "eigendecomposition"): BuildContract("eigendecompositions"),
-        ("HessianSolver", "factor"): BuildContract(
-            None,
-            reason="lazy Cholesky materialization for explicit factor consumers; "
-            "eigendecomposition-mode solvers never touch it on the read path",
-        ),
         ("HessianSolver", "_factorize"): BuildContract(
             None, reason="constructor helper, called from __init__ only"
         ),
@@ -139,12 +127,6 @@ REPRO_CONTRACTS = ContractSet(
             None, reason="alternate constructor: writes initialize a brand-new instance"
         ),
         # -- PredicateAlphabet / AlphabetCache ----------------------------
-        ("PredicateAlphabet", "miner_items"): BuildContract(
-            "tidlist_builds", stats_attr="_stats"
-        ),
-        ("PredicateAlphabet", "pair_skeleton"): BuildContract(
-            "skeleton_builds", stats_attr="_stats"
-        ),
         ("PredicateAlphabet", "apply_edit"): BuildContract(
             "tidlist_patches", stats_attr="_stats", kind="edit"
         ),
@@ -163,21 +145,10 @@ REPRO_CONTRACTS = ContractSet(
         ("PredicateAlphabet", "warm"): BuildContract(
             None, reason="eager driver: every build it triggers is counted by its own entry"
         ),
-        ("AlphabetCache", "get"): BuildContract("alphabet_builds"),
         ("AlphabetCache", "apply_edit"): BuildContract("alphabet_patches", kind="edit"),
         # -- Estimators ----------------------------------------------------
-        ("InfluenceEstimator", "grad_f"): BuildContract(
-            None,
-            reason="per-query ∇F memo, eagerly built by warm(); idempotent value, so a "
-            "racing double-build is benign under the GIL",
-        ),
         ("InfluenceEstimator", "warm"): BuildContract(
             None, reason="eager driver: every build it triggers is counted by its own entry"
-        ),
-        ("FirstOrderInfluence", "point_influences"): BuildContract(
-            None,
-            reason="per-query influence memo, eagerly built by warm(); idempotent value, "
-            "so a racing double-build is benign under the GIL",
         ),
         # -- Session -------------------------------------------------------
         ("AuditSession", "fit"): BuildContract(

@@ -23,7 +23,13 @@ program, so the model deliberately over-approximates by *name*:
 * a bare attribute *load* whose name matches a known ``@property``
   resolves to that property's getter — lazy cache builds hide behind
   property reads, and missing them would miss exactly the writes the
-  read-path rule exists to find.
+  read-path rule exists to find;
+* a bound-method *reference* ``self.m`` resolves to ``m`` — that is how a
+  build is handed to a lazy slot (``self._x.get(self._build_x)``).
+
+Slots of the lazy-build primitive are recognised by constructor name
+(:data:`LAZY_PRIMITIVE`): :meth:`Project.lazy_slots` lists the ``self``
+attributes a class family binds to one.
 
 Over-approximation errs toward *reporting* a shared-state write, which is
 the correct direction for a race analyzer: a false reachability edge
@@ -40,6 +46,18 @@ from pathlib import Path
 #: Names that never denote project methods even when a parsed class
 #: happens to define an attribute of the same name.
 _DUNDER_CALLS = frozenset({"__init__", "__post_init__", "__new__"})
+
+#: Constructor name of the lazy-build primitive (``repro.obs.lazy.Lazy``).
+LAZY_PRIMITIVE = "Lazy"
+
+
+def is_lazy_construction(node: ast.AST) -> bool:
+    """True for a ``Lazy(...)`` / ``<module>.Lazy(...)`` call."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return name == LAZY_PRIMITIVE
 
 
 @dataclass
@@ -253,6 +271,21 @@ class Project:
         self._family_cache[id(cls)] = out
         return out
 
+    def lazy_slots(self, cls: ClassInfo) -> frozenset[str]:
+        """``self`` attributes the family of ``cls`` binds to a lazy slot."""
+        slots: set[str] = set()
+        for member in self.family(cls):
+            for node in ast.walk(member.node):
+                if isinstance(node, ast.Assign) and is_lazy_construction(node.value):
+                    for target in node.targets:
+                        if (
+                            isinstance(target, ast.Attribute)
+                            and isinstance(target.value, ast.Name)
+                            and target.value.id == "self"
+                        ):
+                            slots.add(target.attr)
+        return frozenset(slots)
+
     # -- call-target resolution -----------------------------------------
     def _is_external_root(self, node: ast.expr, module: ModuleInfo) -> bool:
         """True when an attribute chain is rooted at an external-module alias."""
@@ -333,11 +366,9 @@ class Project:
                 elif isinstance(func, ast.Name):
                     out.extend(self.resolve_function_name(func.id, module))
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                # Bare attribute loads reach property getters (lazy builds).
-                if node.attr not in self.properties_by_name:
-                    continue
-                if self._is_external_root(node, module):
-                    continue
+                # Bare attribute loads reach property getters (lazy builds);
+                # ``self.m`` loads also reach bound-method references, the
+                # builds handed to lazy slots.
                 if (
                     isinstance(node.value, ast.Name)
                     and node.value.id in ("self", "cls")
@@ -346,10 +377,14 @@ class Project:
                     out.extend(
                         member.methods[node.attr]
                         for member in self.family(fn.cls)
-                        if node.attr in member.methods and member.methods[node.attr].is_property
+                        if node.attr in member.methods
                     )
-                else:
-                    out.extend(self.properties_by_name.get(node.attr, []))
+                    continue
+                if node.attr not in self.properties_by_name:
+                    continue
+                if self._is_external_root(node, module):
+                    continue
+                out.extend(self.properties_by_name.get(node.attr, []))
         return out
 
     def reachable_from(

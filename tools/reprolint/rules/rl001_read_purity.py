@@ -9,10 +9,14 @@ write the same attribute concurrently, and a reader can observe the
 half-initialized value.
 
 Detected write forms: ``self.attr = …``, ``self.attr[...] = …`` (any
-subscript depth), augmented assignments on either, ``del self.attr``, and
-``object.__setattr__(self, …)`` / ``setattr(self, …)``.  Constructors
-(``__init__`` / ``__post_init__`` / ``__new__``) are exempt — a not-yet-
-shared instance is thread-local by construction.
+subscript depth), augmented assignments on either, ``del self.attr``,
+``object.__setattr__(self, …)`` / ``setattr(self, …)``, and ``set`` /
+``clear`` on a lazy slot (``self.attr`` bound to the lazy-build
+primitive).  A slot's own ``get`` is the one sanctioned read-path build —
+double-checked under the owner's lock and counted — so it needs no
+registry entry.  Constructors (``__init__`` / ``__post_init__`` /
+``__new__``) are exempt — a not-yet-shared instance is thread-local by
+construction.
 """
 
 from __future__ import annotations
@@ -58,8 +62,9 @@ def _self_write_target(node: ast.expr) -> str | None:
     return None
 
 
-def iter_self_writes(fn_node: ast.AST):
-    """Yield ``(lineno, description)`` for every self-attribute write."""
+def iter_self_writes(fn_node: ast.AST, lazy_slots: frozenset[str] = frozenset()):
+    """Yield ``(lineno, description)`` for every self-attribute write,
+    counting ``set`` / ``clear`` calls on the named lazy slots."""
     for node in ast.walk(fn_node):
         if isinstance(node, ast.Assign):
             for target in node.targets:
@@ -87,6 +92,10 @@ def iter_self_writes(fn_node: ast.AST):
             if name == "__setattr__" or name == "setattr":
                 if node.args and isinstance(node.args[0], ast.Name) and node.args[0].id == "self":
                     yield node.lineno, "calls setattr on self"
+            elif name in ("set", "clear") and isinstance(func, ast.Attribute):
+                slot = _self_write_target(func.value)
+                if slot in lazy_slots:
+                    yield node.lineno, f"{name}s lazy slot self.{slot}"
 
 
 def _is_allowlisted(fn: FunctionInfo, cls: ClassInfo, project: Project, contracts: ContractSet) -> bool:
@@ -108,7 +117,7 @@ def check(project: Project, contracts: ContractSet) -> list[Finding]:
         if _is_allowlisted(fn, cls, project, contracts):
             continue
         chain = project.chain(pred, fn)
-        for lineno, description in iter_self_writes(fn.node):
+        for lineno, description in iter_self_writes(fn.node, project.lazy_slots(cls)):
             findings.append(
                 Finding(
                     "RL001",

@@ -7,6 +7,11 @@ literal or a ``stats.setdefault("<counter>", …)`` call — so the dynamic
 exactly-once assertions the benchmarks make stay possible.  Registry
 drift (a registered method that no longer exists) and exempt entries
 without a written reason are also findings.
+
+Caches built on the lazy-build primitive are checked without a registry
+entry: the primitive bumps the counter named at construction once per
+build, so each ``Lazy(..., counter="…", hits="…")`` must name string
+literals that a stats dict declares.
 """
 
 from __future__ import annotations
@@ -15,7 +20,10 @@ import ast
 
 from tools.reprolint.contracts import ContractSet
 from tools.reprolint.engine import Finding, Rule
-from tools.reprolint.model import FunctionInfo, Project
+from tools.reprolint.model import FunctionInfo, Project, is_lazy_construction
+
+#: The primitive's keyword-only constructor parameters naming stats counters.
+_LAZY_COUNTERS = ("counter", "hits")
 
 
 def _declared_counters(project: Project) -> set[str]:
@@ -78,6 +86,30 @@ def _bumps_counter(fn: FunctionInfo, stats_attr: str, counter: str) -> bool:
     return False
 
 
+def _lazy_findings(project: Project, declared: set[str]) -> list[Finding]:
+    """Undeclared or non-literal counters named by ``Lazy(...)`` constructions."""
+    findings: list[Finding] = []
+    for module in project.modules.values():
+        for node in ast.walk(module.tree):
+            if not is_lazy_construction(node):
+                continue
+            for kw in node.keywords:
+                if kw.arg not in _LAZY_COUNTERS:
+                    continue
+                value = kw.value
+                if not (isinstance(value, ast.Constant) and isinstance(value.value, str)):
+                    message = f"lazy slot {kw.arg}= must be a string literal counter name"
+                elif value.value not in declared:
+                    message = (
+                        f'lazy slot {kw.arg}="{value.value}" is not declared in any stats '
+                        "dict literal or setdefault"
+                    )
+                else:
+                    continue
+                findings.append(Finding("RL002", module.path, node.lineno, message))
+    return findings
+
+
 def _find_methods(project: Project, cls_name: str, meth: str) -> list[FunctionInfo]:
     out = []
     for cls in project.classes_by_name.get(cls_name, []):
@@ -87,8 +119,8 @@ def _find_methods(project: Project, cls_name: str, meth: str) -> list[FunctionIn
 
 
 def check(project: Project, contracts: ContractSet) -> list[Finding]:
-    findings: list[Finding] = []
     declared = _declared_counters(project)
+    findings = _lazy_findings(project, declared)
     for (cls_name, meth), contract in sorted(contracts.build_methods.items()):
         methods = _find_methods(project, cls_name, meth)
         if not methods:

@@ -3,7 +3,7 @@
 ``test_src_is_clean`` is the analyzer's standing gate: the real ``src``
 tree, under the real :data:`REPRO_CONTRACTS`, must produce zero findings
 — every surviving write suppressed only by a justified pragma.  A new
-lazy cache added without registering it (or a pragma without a reason)
+hand-written lazy cache added without registering it (or a pragma without a reason)
 fails this test before it fails in CI.
 """
 

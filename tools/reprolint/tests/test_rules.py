@@ -100,6 +100,38 @@ def test_rl002_accepts_registry_backed_inc_and_statsview_declaration():
     assert len(findings) == 2
 
 
+# -- The lazy-build primitive (RL001 + RL002) ----------------------------
+
+LAZY_CONTRACTS = ContractSet(
+    shared_classes=frozenset({"SharedCache"}),
+    read_roots=(("SharedCache", "get"), ("SharedCache", "total"), ("SharedCache", "reset")),
+)
+
+
+def analyze_lazy(name: str) -> list:
+    return run_analysis([FIXTURES / name], contracts=LAZY_CONTRACTS, rules=[RL001, RL002])
+
+
+def test_lazy_slots_flag_unchecked_counters_memo_and_read_path_clear():
+    findings = analyze_lazy("lazy_bad.py")
+    rl002 = [f.message for f in findings if f.rule == "RL002"]
+    assert sorted(rl002) == [
+        "lazy slot counter= must be a string literal counter name",
+        'lazy slot counter="ghost_builds" is not declared in any stats dict '
+        "literal or setdefault",
+    ]
+    rl001 = [f.message for f in findings if f.rule == "RL001"]
+    assert len(rl001) == 2
+    (memo,) = [m for m in rl001 if "SharedCache._compute assigns self._memo" in m]
+    # The build is reached through the bound-method reference handed to get().
+    assert "via SharedCache.get" in memo
+    assert sum("SharedCache.reset clears lazy slot self._value" in m for m in rl001) == 1
+
+
+def test_lazy_slots_need_no_registry_entry():
+    assert analyze_lazy("lazy_good.py") == []
+
+
 # -- RL003 ---------------------------------------------------------------
 
 
