@@ -1,7 +1,7 @@
 """Million-row mining: projection + compressed tidlists + row blocks.
 
 Two claims about the conditional-database machinery of the closed-pattern
-miner (``projection="auto"``), measured on the first-order estimator's
+miner (``auto``: projection selected by table size), measured on the first-order estimator's
 linear packed path — the configuration whose per-extent cost is pure
 byte traffic, so representation wins and losses are visible undiluted:
 
@@ -21,7 +21,8 @@ byte traffic, so representation wins and losses are visible undiluted:
    not the pipeline.
 2. **Deep-mining speedup** — at depth 3 under a sparse support threshold
    (τ = 0.3%), ``auto`` beats the flat ``never`` traversal ≥ 2× once the
-   table passes a million training rows, with byte-identical candidates
+   table passes a million training rows (``never`` is forced through
+   ``tests/oracles/projection.py``), with byte-identical candidates
    (pattern, support, and responsibility to 1e-10).  The flat search
    pays ``O(n)`` per deep extent for scoring casts and full-width ANDs;
    the projected search pays ``O(count)`` once the extent lives in a
@@ -47,6 +48,7 @@ from repro.bench import build_pipeline, emit, render_table
 from repro.influence import make_estimator
 from repro.mining.alphabet import PredicateAlphabet
 from repro.mining.closed import mine_closed_candidates
+from tests.oracles.projection import forced_projection
 
 NUM_BINS = 4
 BATCH_SIZE = 256
@@ -108,14 +110,15 @@ def _build(dataset: str, n_rows: int, support_threshold: float):
 
 
 def _mine(table, estimator, alphabet, search, mode):
-    start = time.perf_counter()
-    result = mine_closed_candidates(
-        table, estimator,
-        support_threshold=search["support_threshold"],
-        max_predicates=search["max_predicates"],
-        alphabet=alphabet, projection=mode, batch_size=BATCH_SIZE,
-    )
-    return result, time.perf_counter() - start
+    with forced_projection(mode):
+        start = time.perf_counter()
+        result = mine_closed_candidates(
+            table, estimator,
+            support_threshold=search["support_threshold"],
+            max_predicates=search["max_predicates"],
+            alphabet=alphabet, batch_size=BATCH_SIZE,
+        )
+        return result, time.perf_counter() - start
 
 
 def _signature(result):
@@ -167,7 +170,7 @@ def _run(smoke: bool):
             table, estimator,
             support_threshold=search["support_threshold"],
             max_predicates=search["max_predicates"],
-            alphabet=alphabet, projection="auto", batch_size=BATCH_SIZE,
+            alphabet=alphabet, batch_size=BATCH_SIZE,
         )
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()

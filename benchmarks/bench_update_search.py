@@ -11,9 +11,10 @@ Two workloads on German Credit, both over the planted Table-4 patterns:
    this workload is where the engine must clear ≥5× (asserted; ≥2× under
    ``--smoke``).
 
-Both workloads assert the batched engine reproduces the ``batch=False``
-reference outputs: the same δ per pattern, the same estimated bias change,
-and the same described update.  A third experiment reports the
+Both workloads assert the batched engine reproduces the outputs of the
+per-coordinate reference loop (``tests/oracles/update_loop.py``): the same
+δ per pattern, the same estimated bias change, and the same described
+update.  A third experiment reports the
 ``verify=True`` ground-truth retrains through the shared process-parallel
 helper (serial vs one-worker-per-CPU; informational — single-CPU runners
 show ~1×).
@@ -29,6 +30,7 @@ import numpy as np
 from repro.bench import build_pipeline, emit, render_table
 from repro.patterns import Pattern, Predicate
 from repro.updates import UpdateSearchContext, find_update_explanations
+from tests.oracles.update_loop import loop_update_explanations
 
 PATTERNS = [
     Pattern([Predicate("age", ">=", 45.0), Predicate("gender", "=", "Female")]),
@@ -81,11 +83,18 @@ def _run(smoke: bool):
             num_steps=num_steps, context=context, **kwargs,
         )
 
+    def reference(**kwargs):
+        return loop_update_explanations(
+            bundle.model, bundle.encoder, bundle.X_train, bundle.train.labels,
+            bundle.metric, bundle.test_ctx, PATTERNS, subsets,
+            num_steps=num_steps, context=context, **kwargs,
+        )
+
     all_features = set(bundle.train.table.column_names)
     rows, speedups = [], {}
     for label, allowed in [("pattern features", None), ("full repair", all_features)]:
-        loop_s, loop = _best_of(lambda a=allowed: search(batch=False, allowed_features=a), repeats)
-        batch_s, batched = _best_of(lambda a=allowed: search(batch=True, allowed_features=a), repeats)
+        loop_s, loop = _best_of(lambda a=allowed: reference(allowed_features=a), repeats)
+        batch_s, batched = _best_of(lambda a=allowed: search(allowed_features=a), repeats)
         _assert_identical(batched, loop)
         speedups[label] = loop_s / batch_s
         rows.append(
@@ -100,8 +109,8 @@ def _run(smoke: bool):
         )
 
     verify_rows = []
-    serial_s, _ = _best_of(lambda: search(batch=True, verify=True, n_jobs=1), 1)
-    parallel_s, _ = _best_of(lambda: search(batch=True, verify=True, n_jobs=None), 1)
+    serial_s, _ = _best_of(lambda: search(verify=True, n_jobs=1), 1)
+    parallel_s, _ = _best_of(lambda: search(verify=True, n_jobs=None), 1)
     verify_rows.append(
         [
             len(PATTERNS),

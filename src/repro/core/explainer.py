@@ -217,15 +217,14 @@ class GopherExplainer:
         allowed_features: set[str] | None = None,
         learning_rate: float = 0.25,
         num_steps: int = 120,
-        batch: bool = True,
     ):
         """Section 5: one update-based explanation per removal explanation.
 
         For every pattern in ``explanations``, search for the homogeneous
         update of its subset that maximally reduces bias.  All patterns run
         through one vectorized engine pass sharing the explainer's cached
-        :class:`repro.updates.UpdateSearchContext` (``batch=False`` keeps
-        the per-coordinate reference loop).  Returns a renderable
+        :class:`repro.updates.UpdateSearchContext`, whose Hessian/η half
+        rides the session's shared artifacts.  Returns a renderable
         :class:`repro.updates.UpdateExplanationSet`, aligned with the input.
 
         Each update's ``removal_bias_change`` reference comes from the
@@ -258,7 +257,6 @@ class GopherExplainer:
             verify=verify,
             removal_bias_changes=removal_changes,
             removal_sources=removal_sources,
-            batch=batch,
             context=self._update_context(),
             n_jobs=self.config.retrain_jobs,
         )
@@ -274,12 +272,11 @@ class GopherExplainer:
         if self._update_ctx is None:
             from repro.updates.projected_gd import UpdateSearchContext
 
-            assert self.train_data is not None and self.X_train is not None
-            assert self.test_ctx is not None
+            assert self.session is not None and self.train_data is not None
+            assert self.X_train is not None and self.test_ctx is not None
             self._update_ctx = UpdateSearchContext(
                 self.model, self.X_train, self.train_data.labels, self.metric,
-                self.test_ctx,
-                artifacts=None if self.session is None else self.session.artifacts,
+                self.test_ctx, artifacts=self.session.artifacts,
             )
         return self._update_ctx
 

@@ -47,23 +47,25 @@ Memory per search path is ``O(depth · n/8)`` for the extents plus the
 ``O(batch_size · n/8)`` packed buffer, instead of the
 ``O(level_width · n)`` boolean masks the lattice holds per level.
 
-Conditional-database projection (``projection="auto"``, the default)
-replaces both ``n/8`` terms with *parent-extent-proportional* ones: a
-branch whose extent shrinks below ``1/_PROJECT_SHRINK`` of its space is
-re-packed into a dense local coordinate space (LCM2-style) carrying the
-still-extendable items' tidlists at ``ceil(count/8)`` bytes each, so the
-per-node AND/popcount below it costs ``count/8`` — and the one-off
-projection costs the same bytes one round of child ANDs would have.
-Extent identity switches from packed bytes (``n/8`` per retained key) to
-an O(1)-sized set-homomorphic digest, global tidlists handed to the
-estimator switch to the sparse index representation below the
-``repro.mining.bitset`` density threshold (the estimator consumes sparse
-extents directly — no pack/unpack round trip), and flush groups are
-byte-capped, so the frontier's peak memory is bounded by constants and
-by extent sizes, not by the table's row count.  ``projection="never"``
-preserves the flat traversal byte-for-byte; all modes visit the same
-nodes and emit identical candidates (the projection property suite and
-the engine-equivalence suite pin this).
+Conditional-database projection replaces both ``n/8`` terms with
+*parent-extent-proportional* ones: a branch whose extent shrinks below
+``1/_PROJECT_SHRINK`` of its space is re-packed into a dense local
+coordinate space (LCM2-style) carrying the still-extendable items'
+tidlists at ``ceil(count/8)`` bytes each, so the per-node AND/popcount
+below it costs ``count/8`` — and the one-off projection costs the same
+bytes one round of child ANDs would have.  Extent identity switches from
+packed bytes (``n/8`` per retained key) to an O(1)-sized set-homomorphic
+digest, global tidlists handed to the estimator switch to the sparse
+index representation below the ``repro.mining.bitset`` density threshold
+(the estimator consumes sparse extents directly — no pack/unpack round
+trip), and flush groups are byte-capped, so the frontier's peak memory
+is bounded by constants and by extent sizes, not by the table's row
+count.  Projection is selected by row count alone: below
+``_AUTO_DIGEST_MIN_ROWS`` the search is the flat traversal
+byte-for-byte.  Tests force the flat and the project-everywhere modes by
+patching the module constants through ``tests/oracles/projection.py``;
+every mode visits the same nodes and emits identical candidates (the
+projection property suite and the engine-equivalence suite pin this).
 
 Pruning mirrors Algorithm 1: support must stay strictly above τ
 (anti-monotone, kills the subtree), and with ``prune_by_responsibility`` a
@@ -133,7 +135,7 @@ from repro.patterns.predicate import Predicate
 from repro.tabular import Table
 
 #: Project a branch once its extent is this many times smaller than its
-#: current coordinate space ("auto" mode).  Below 1/8 density the re-pack
+#: current coordinate space.  Below 1/8 density the re-pack
 #: pays for itself within one level: building the conditional database
 #: costs one pass over the remaining items' local tidlists — the same
 #: bytes a single round of child ANDs would have touched — and every
@@ -145,13 +147,13 @@ _PROJECT_SHRINK = 8
 #: transient unpacked (items, count) bit matrix to chunk·count bytes.
 _PROJECT_ITEM_CHUNK = 64
 
-#: Below this many table rows, "auto" runs the flat (never-mode) search.
+#: Below this many table rows the miner runs the flat search.
 #: The projection machinery adds per-node work the flat search doesn't
 #: do — member digests for sparse-eligible extents, a popcount per
 #: descent-bar lookup, dense→sparse compressions, conditional-database
 #: builds — and on a table small enough to sit in cache every full-width
 #: AND and scoring pass is already near-free, so there is nothing for
-#: that machinery to save.  Auto switches it on only once the byte
+#: that machinery to save.  The miner switches it on only once the byte
 #: traffic it removes is worth the bookkeeping it adds.
 _AUTO_DIGEST_MIN_ROWS = 1 << 17
 
@@ -338,7 +340,6 @@ def mine_closed_candidates(
     max_responsibility: float = 1.25,
     batch_size: int = 1024,
     alphabet=None,
-    projection: str = "auto",
 ) -> MinedCandidates:
     """Mine all closed candidate explanations of ``table``.
 
@@ -353,27 +354,22 @@ def mine_closed_candidates(
     re-generated — how an :class:`repro.core.AuditSession` shares one
     tidlist build across every query of an audit.
 
-    ``projection`` selects the conditional-database strategy.  ``"never"``
-    is the flat traversal: every extension ANDs two global ``n/8``-byte
-    rows and every extent key is its packed bytes.  ``"auto"`` (the
-    default) projects a node's extent into a dense local coordinate space
-    once it has shrunk below ``1/_PROJECT_SHRINK`` of its current space —
-    descendants then pay ``count/8`` bytes per AND — and switches global
-    tidlists to the sparse index representation for keys, scoring, and
-    co-parent lookups where the density rule of ``repro.mining.bitset``
-    says indices are cheaper.  ``"always"`` projects at every eligible
-    branch regardless of shrinkage (the property suite's worst case).
-    All three traverse the identical node set and emit identical
-    candidates; they differ only in representation.
+    The conditional-database strategy is chosen by row count.  Below
+    ``_AUTO_DIGEST_MIN_ROWS`` the search is flat: every extension ANDs two
+    global ``n/8``-byte rows and every extent key is its packed bytes.
+    From that size on it projects a node's extent into a dense local
+    coordinate space once it has shrunk below ``1/_PROJECT_SHRINK`` of its
+    current space — descendants then pay ``count/8`` bytes per AND — and
+    switches global tidlists to the sparse index representation for keys,
+    scoring, and co-parent lookups where the density rule of
+    ``repro.mining.bitset`` says indices are cheaper.  Both traverse the
+    identical node set and emit identical candidates; they differ only in
+    representation.
     """
     if max_predicates < 1:
         raise ValueError(f"max_predicates must be >= 1, got {max_predicates}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if projection not in ("auto", "always", "never"):
-        raise ValueError(
-            f"projection must be 'auto', 'always', or 'never', got {projection!r}"
-        )
     num_rows = table.num_rows
     if num_rows != estimator.num_train:
         raise ValueError(
@@ -400,9 +396,7 @@ def mine_closed_candidates(
         return MinedCandidates([], [LatticeLevelStats(1, 0, 0, time.perf_counter() - start)], 0, 0)
     num_items = len(predicates)
 
-    use_digest = projection == "always" or (
-        projection == "auto" and num_rows >= _AUTO_DIGEST_MIN_ROWS
-    )
+    use_digest = num_rows >= _AUTO_DIGEST_MIN_ROWS
     if use_digest:
         # Two-tier extent identity, branch chosen by the *global* density
         # rule so every representation of the same row set lands in the
@@ -560,15 +554,11 @@ def mine_closed_candidates(
         # Branch projection: once an extent has shrunk well below its
         # current coordinate space, re-pack it so every descendant AND and
         # popcount runs over count/8 bytes.  The root level never projects
-        # (children of the root are the items themselves); "always" skips
-        # only the shrinkage test, not the depth gate.
+        # (children of the root are the items themselves).
         do_project = (
             use_digest
             and node.depth >= 1
-            and (
-                projection == "always"
-                or node.count * _PROJECT_SHRINK <= space.num_local
-            )
+            and node.count * _PROJECT_SHRINK <= space.num_local
         )
         if do_project:
             child_space = project(node)

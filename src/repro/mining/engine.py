@@ -136,18 +136,15 @@ class LatticeEngine:
 class ClosedMiningEngine:
     """Closed-pattern mining over packed bitsets (one node per extent).
 
-    ``projection`` selects the conditional-database strategy of
-    :func:`repro.mining.closed.mine_closed_candidates` — ``"auto"``
-    (default) projects shrunken branches into local coordinate spaces so
-    deep nodes pay proportional to their parent extent, ``"never"`` is
-    the flat full-width traversal, ``"always"`` projects every eligible
-    branch.  All three emit identical candidates.
+    :func:`repro.mining.closed.mine_closed_candidates` selects projection
+    by row count: from ``_AUTO_DIGEST_MIN_ROWS`` table rows on it projects
+    shrunken branches into local coordinate spaces so deep nodes pay
+    proportional to their parent extent; below it runs the flat
+    full-width traversal.  Tests force either mode through
+    ``tests/oracles/projection.py``; all modes emit identical candidates.
     """
 
     name = "mining"
-
-    def __init__(self, projection: str = "auto") -> None:
-        self.projection = projection
 
     def generate(
         self,
@@ -180,7 +177,6 @@ class ClosedMiningEngine:
             alphabet=resolve_alphabet(
                 table, alphabet_cache, support_threshold, num_bins, exclude_features
             ),
-            projection=self.projection,
         )
         return CandidateResult(
             candidates=mined.candidates,
@@ -201,7 +197,7 @@ def list_engines() -> list[str]:
     return sorted(_ENGINES)
 
 
-def make_engine(name: str, **kwargs: object) -> CandidateEngine:
+def make_engine(name: str) -> CandidateEngine:
     """Factory over the candidate-generation backends."""
     try:
         cls = _ENGINES[name]
@@ -209,7 +205,7 @@ def make_engine(name: str, **kwargs: object) -> CandidateEngine:
         raise ValueError(
             f"unknown candidate engine {name!r}; available: {sorted(_ENGINES)}"
         ) from None
-    return cls(**kwargs)  # type: ignore[arg-type]
+    return cls()
 
 
 def as_candidate_result(result: CandidateResult | LatticeResult) -> CandidateResult:

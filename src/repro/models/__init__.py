@@ -12,7 +12,7 @@ finite differences.
 from repro.models.base import TwiceDifferentiableClassifier
 from repro.models.logistic_regression import LogisticRegression
 from repro.models.neural_network import NeuralNetwork
-from repro.models.optim import gradient_descent, minimize_loss
+from repro.models.optim import minimize_loss
 from repro.models.svm import LinearSVM
 
 __all__ = [
@@ -20,6 +20,5 @@ __all__ = [
     "LogisticRegression",
     "NeuralNetwork",
     "TwiceDifferentiableClassifier",
-    "gradient_descent",
     "minimize_loss",
 ]

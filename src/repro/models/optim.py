@@ -1,9 +1,7 @@
-"""Optimizers used to fit the models.
+"""The optimizer used to fit the models.
 
-``minimize_loss`` wraps scipy's L-BFGS-B (the production path: fast,
-deterministic, no learning-rate tuning).  ``gradient_descent`` is a plain
-full-batch loop kept for the one-step-GD influence surrogate and for tests
-that need to observe individual descent steps.
+``minimize_loss`` wraps scipy's L-BFGS-B: fast, deterministic, no
+learning-rate tuning.
 """
 
 from __future__ import annotations
@@ -36,19 +34,3 @@ def minimize_loss(
     )
     return np.asarray(result.x, dtype=np.float64)
 
-
-def gradient_descent(
-    grad: Callable[[np.ndarray], np.ndarray],
-    x0: np.ndarray,
-    learning_rate: float = 0.1,
-    num_steps: int = 100,
-) -> np.ndarray:
-    """Plain full-batch gradient descent: ``θ ← θ − η ∇L(θ)``."""
-    if learning_rate <= 0:
-        raise ValueError(f"learning_rate must be positive, got {learning_rate}")
-    if num_steps < 0:
-        raise ValueError(f"num_steps must be non-negative, got {num_steps}")
-    theta = np.asarray(x0, dtype=np.float64).copy()
-    for _ in range(num_steps):
-        theta -= learning_rate * grad(theta)
-    return theta

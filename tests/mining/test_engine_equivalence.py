@@ -21,6 +21,7 @@ from repro.mining import (
 )
 from repro.models import LogisticRegression
 from repro.patterns import compute_candidates, select_top_k
+from tests.oracles.projection import forced_projection
 
 
 def top_k_pairs(result, k):
@@ -141,9 +142,10 @@ class TestProjectedEngineEquivalence:
         lattice = make_engine("lattice").generate(
             german_train.table, german_series_estimator, **opts
         )
-        mined = make_engine("mining", projection=projection).generate(
-            german_train.table, german_series_estimator, **opts
-        )
+        with forced_projection(projection):
+            mined = make_engine("mining").generate(
+                german_train.table, german_series_estimator, **opts
+            )
         assert_identical_top_k(lattice, mined, 5)
         assert mined.num_evaluated <= lattice.num_evaluated
 
@@ -151,9 +153,8 @@ class TestProjectedEngineEquivalence:
         table, estimator = synth_setup
         opts = dict(support_threshold=0.05, max_predicates=3)
         lattice = make_engine("lattice").generate(table, estimator, **opts)
-        mined = make_engine("mining", projection="always").generate(
-            table, estimator, **opts
-        )
+        with forced_projection("always"):
+            mined = make_engine("mining").generate(table, estimator, **opts)
         assert_identical_top_k(lattice, mined, 5)
 
 

@@ -1,13 +1,14 @@
 """Conditional-database projection must be invisible in the results.
 
-``projection="never"`` is the historical flat traversal; ``"auto"`` and
-``"always"`` re-pack shrunken branches into local coordinate spaces, swap
-extent identity to digests, and stream sparse extents to the estimator as
-index batches.  Across randomized instances — including support
-thresholds below the 1/SPARSE_DENSITY density cutoff, where the sparse
-representation actually carries survivors — all three modes must emit
-identical candidates, scores, masks, and evaluation counts, on bool and
-packed (out-of-core) alphabets alike.
+The modes are forced through ``tests/oracles/projection.py``: ``"never"``
+is the historical flat traversal; ``"auto"`` and ``"always"`` re-pack
+shrunken branches into local coordinate spaces, swap extent identity to
+digests, and stream sparse extents to the estimator as index batches.
+Across randomized instances — including support thresholds below the
+1/SPARSE_DENSITY density cutoff, where the sparse representation actually
+carries survivors — all three modes must emit identical candidates,
+scores, masks, and evaluation counts, on bool and packed (out-of-core)
+alphabets alike.
 """
 
 import numpy as np
@@ -19,12 +20,10 @@ from repro.fairness import FairnessContext, get_metric
 from repro.influence import make_estimator
 from repro.mining import mine_closed_candidates
 from repro.mining.alphabet import PredicateAlphabet
-from repro.mining.engine import make_engine
 from repro.models import LogisticRegression
 from repro.obs.trace import Tracer, tracing
 from repro.tabular import Table
-
-MODES = ("never", "auto", "always")
+from tests.oracles.projection import MODES, forced_projection
 
 
 @pytest.fixture(autouse=True)
@@ -106,6 +105,11 @@ def correlated_instance(seed=0, n=900, k=40):
     return table, estimator
 
 
+def mine(table, estimator, mode, **kwargs):
+    with forced_projection(mode):
+        return mine_closed_candidates(table, estimator, **kwargs)
+
+
 def assert_identical(a, b):
     assert a.num_evaluated == b.num_evaluated
     assert a.num_closed == b.num_closed
@@ -125,9 +129,9 @@ class TestThreeModeEquivalence:
     def test_modes_emit_identical_results(self, seed, tau, depth):
         table, estimator = scale_instance(seed)
         results = {
-            mode: mine_closed_candidates(
-                table, estimator, support_threshold=tau,
-                max_predicates=depth, projection=mode,
+            mode: mine(
+                table, estimator, mode, support_threshold=tau,
+                max_predicates=depth,
             )
             for mode in MODES
         }
@@ -140,9 +144,9 @@ class TestThreeModeEquivalence:
         index path; the flat mode must still be matched exactly."""
         table, estimator = scale_instance(17, n=900)
         never, auto = (
-            mine_closed_candidates(
-                table, estimator, support_threshold=0.02,
-                max_predicates=4, projection=mode,
+            mine(
+                table, estimator, mode, support_threshold=0.02,
+                max_predicates=4,
             )
             for mode in ("never", "auto")
         )
@@ -153,9 +157,9 @@ class TestThreeModeEquivalence:
         match the flat traversal exactly."""
         table, estimator = correlated_instance()
         results = {
-            mode: mine_closed_candidates(
-                table, estimator, support_threshold=0.015,
-                max_predicates=3, projection=mode,
+            mode: mine(
+                table, estimator, mode, support_threshold=0.015,
+                max_predicates=3,
             )
             for mode in MODES
         }
@@ -176,19 +180,48 @@ class TestThreeModeEquivalence:
         )
         assert_identical(a, b)
 
-    def test_engine_kwarg_round_trip(self):
-        table, estimator = scale_instance(2, n=400)
-        default = make_engine("mining")
-        always = make_engine("mining", projection="always")
-        assert default.projection == "auto" and always.projection == "always"
-        ra = default.generate(table, estimator, support_threshold=0.05, max_predicates=2)
-        rb = always.generate(table, estimator, support_threshold=0.05, max_predicates=2)
-        assert [str(c.pattern) for c in ra.candidates] == [str(c.pattern) for c in rb.candidates]
 
-    def test_invalid_projection_rejected(self):
+class TestForcedProjection:
+    """The oracle helper is the only way to force a mode; the equivalence
+    tests above are vacuous unless it really switches projection on and off
+    and leaves the production constants as it found them."""
+
+    def test_forced_modes_take_effect(self):
+        import repro.mining.closed as closed_mod
+
         table, estimator = scale_instance(2, n=400)
-        with pytest.raises(ValueError, match="projection"):
-            mine_closed_candidates(table, estimator, projection="sometimes")
+        gate = (closed_mod._AUTO_DIGEST_MIN_ROWS, closed_mod._PROJECT_SHRINK)
+        builds = {}
+        for mode in ("never", "always"):
+            alphabet = PredicateAlphabet(table, 0.05, 4, None)
+            mine(
+                table, estimator, mode, support_threshold=0.05,
+                max_predicates=3, alphabet=alphabet,
+            )
+            builds[mode] = alphabet._stats["projection_builds"]
+            assert (closed_mod._AUTO_DIGEST_MIN_ROWS, closed_mod._PROJECT_SHRINK) == gate
+        assert builds["never"] == 0
+        assert builds["always"] > 0
+        with pytest.raises(RuntimeError):
+            with forced_projection("always"):
+                raise RuntimeError
+        assert (closed_mod._AUTO_DIGEST_MIN_ROWS, closed_mod._PROJECT_SHRINK) == gate
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="mode"):
+            with forced_projection("sometimes"):
+                pass
+
+    def test_projection_knob_removed(self):
+        # Row count is the only selection; the old keyword must not be
+        # silently accepted.
+        from repro.mining.engine import make_engine
+
+        table, estimator = scale_instance(2, n=400)
+        with pytest.raises(TypeError):
+            mine_closed_candidates(table, estimator, projection="never")
+        with pytest.raises(TypeError):
+            make_engine("mining", projection="always")
 
 
 class TestObservabilityAndCounters:
@@ -197,9 +230,9 @@ class TestObservabilityAndCounters:
         alphabet = PredicateAlphabet(table, 0.015, 4, None)
         tracer = Tracer()
         with tracing(tracer):
-            mine_closed_candidates(
-                table, estimator, support_threshold=0.015,
-                max_predicates=3, projection="auto", alphabet=alphabet,
+            mine(
+                table, estimator, "auto", support_threshold=0.015,
+                max_predicates=3, alphabet=alphabet,
             )
         names = set()
 
@@ -222,13 +255,13 @@ class TestObservabilityAndCounters:
         machinery is only paid where projection can pay for it."""
         table, estimator = scale_instance(3)
         alphabet = PredicateAlphabet(table, 0.05, 4, None)
-        auto = mine_closed_candidates(
-            table, estimator, support_threshold=0.05,
-            max_predicates=3, projection="auto", alphabet=alphabet,
+        auto = mine(
+            table, estimator, "auto", support_threshold=0.05,
+            max_predicates=3, alphabet=alphabet,
         )
-        never = mine_closed_candidates(
-            table, estimator, support_threshold=0.05,
-            max_predicates=3, projection="never", alphabet=alphabet,
+        never = mine(
+            table, estimator, "never", support_threshold=0.05,
+            max_predicates=3, alphabet=alphabet,
         )
         assert_identical(never, auto)
         assert alphabet._stats["projection_builds"] == 0
@@ -237,9 +270,9 @@ class TestObservabilityAndCounters:
     def test_never_mode_records_no_projection_work(self):
         table, estimator = scale_instance(7, n=400)
         alphabet = PredicateAlphabet(table, 0.05, 4, None)
-        mine_closed_candidates(
-            table, estimator, support_threshold=0.05,
-            max_predicates=3, projection="never", alphabet=alphabet,
+        mine(
+            table, estimator, "never", support_threshold=0.05,
+            max_predicates=3, alphabet=alphabet,
         )
         assert alphabet._stats["projection_builds"] == 0
         assert alphabet._stats["tidlist_compressions"] == 0

@@ -5,7 +5,7 @@ import pytest
 
 from repro.fairness import FairnessContext
 from repro.patterns import Pattern, Predicate
-from repro.updates import UpdateExplanation, find_update_explanation
+from repro.updates import UpdateExplanation, find_update_explanations
 
 
 @pytest.fixture(scope="module")
@@ -22,18 +22,18 @@ def update(
     lr_model, encoder, X_train, german_train, sp_metric, test_ctx, pattern_and_indices
 ):
     pattern, indices = pattern_and_indices
-    return find_update_explanation(
+    return find_update_explanations(
         lr_model,
         encoder,
         X_train,
         german_train.labels,
         sp_metric,
         test_ctx,
-        pattern,
-        indices,
+        [pattern],
+        [indices],
         num_steps=40,
         verify=True,
-    )
+    )[0]
 
 
 class TestUpdateSearch:
@@ -80,10 +80,10 @@ class TestUpdateOptions:
         pattern_and_indices,
     ):
         pattern, indices = pattern_and_indices
-        update = find_update_explanation(
+        update = find_update_explanations(
             lr_model, encoder, X_train, german_train.labels, sp_metric, test_ctx,
-            pattern, indices, allowed_features={"gender"}, num_steps=25,
-        )
+            [pattern], [indices], allowed_features={"gender"}, num_steps=25,
+        )[0]
         assert set(update.changed_features) <= {"gender"}
 
     def test_empty_subset_rejected(
@@ -92,9 +92,9 @@ class TestUpdateOptions:
     ):
         pattern, _ = pattern_and_indices
         with pytest.raises(ValueError, match="empty"):
-            find_update_explanation(
+            find_update_explanations(
                 lr_model, encoder, X_train, german_train.labels, sp_metric, test_ctx,
-                pattern, np.array([], dtype=int),
+                [pattern], [np.array([], dtype=int)],
             )
 
     def test_direction_vs_removal(
@@ -102,10 +102,10 @@ class TestUpdateOptions:
         pattern_and_indices,
     ):
         pattern, indices = pattern_and_indices
-        update = find_update_explanation(
+        update = find_update_explanations(
             lr_model, encoder, X_train, german_train.labels, sp_metric, test_ctx,
-            pattern, indices, num_steps=10,
-        )
+            [pattern], [indices], num_steps=10,
+        )[0]
         # A removal that exactly zeroes the bias beats any projected update.
         update.removal_bias_change = -update.original_bias
         assert update.direction_vs_removal == "less"
@@ -119,10 +119,10 @@ class TestUpdateOptions:
         pattern_and_indices,
     ):
         pattern, indices = pattern_and_indices
-        update = find_update_explanation(
+        update = find_update_explanations(
             lr_model, encoder, X_train, german_train.labels, sp_metric, test_ctx,
-            pattern, indices, num_steps=5,
-        )
+            [pattern], [indices], num_steps=5,
+        )[0]
         with pytest.raises(ValueError, match="removal_bias_change"):
             _ = update.direction_vs_removal
 
@@ -191,10 +191,10 @@ class TestSignConventions:
             favorable_label=test_ctx.favorable_label,
         )
         pattern, indices = pattern_and_indices
-        update = find_update_explanation(
+        update = find_update_explanations(
             lr_model, encoder, X_train, german_train.labels, sp_metric, flipped,
-            pattern, indices, num_steps=40,
-        )
+            [pattern], [indices], num_steps=40,
+        )[0]
         assert update.original_bias < 0
         assert update.est_bias_change > 0  # pushed toward zero
         assert update.direction == "decrease"
@@ -204,11 +204,11 @@ class TestSignConventions:
         pattern_and_indices,
     ):
         pattern, indices = pattern_and_indices
-        update = find_update_explanation(
+        update = find_update_explanations(
             lr_model, encoder, X_train, german_train.labels, sp_metric, test_ctx,
-            pattern, indices, num_steps=5,
-            removal_bias_change=-0.05, removal_source="estimated",
-        )
+            [pattern], [indices], num_steps=5,
+            removal_bias_changes=[-0.05], removal_sources=["estimated"],
+        )[0]
         record = update.to_record()
         assert record["removal_bias_source"] == "estimated"
         assert record["original_bias"] == pytest.approx(update.original_bias)
