@@ -141,8 +141,8 @@ def _parity_rows(bundle, estimator, max_predicates):
         bundle.train.table, estimator, 0.05, max_predicates
     )
     batch_s = time.perf_counter() - start
-    top_loop, _ = select_top_k(loop, TOP_K, containment_threshold=0.5)
-    top_batch, _ = select_top_k(batched, TOP_K, containment_threshold=0.5)
+    top_loop, _ = select_top_k(loop.candidates, TOP_K, containment_threshold=0.5)
+    top_batch, _ = select_top_k(batched.candidates, TOP_K, containment_threshold=0.5)
     assert [s.pattern for s in top_loop] == [s.pattern for s in top_batch], (
         "batched exact lattice search changed the top-k explanations"
     )

@@ -41,7 +41,8 @@ from repro.cluster import local_outlier_factor
 from repro.core import AuditSession, GopherExplainer
 from repro.datasets import TabularEncoder, random_edit, train_test_split
 from repro.fairness import FairnessContext, fairness_report, get_metric, list_metrics
-from repro.influence import make_estimator
+from repro.influence import list_estimators, make_estimator
+from repro.mining import list_engines
 from repro.models import LogisticRegression
 from repro.obs import CostReport, Tracer, trace
 from repro.poisoning import AnchoringAttack, rank_clusters_by_influence
@@ -64,12 +65,10 @@ def build_parser() -> argparse.ArgumentParser:
     explain = sub.add_parser("explain", help="top-k explanations for model bias")
     add_common(explain)
     explain.add_argument("-k", type=int, default=3, help="number of explanations")
-    explain.add_argument("--estimator", default="second_order",
-                         choices=["first_order", "second_order", "exact", "series",
-                                  "one_step_gd", "retrain"],
+    explain.add_argument("--estimator", default="second_order", choices=list_estimators(),
                          help="influence estimator; 'exact'/'series' pick the "
                          "second-order variant directly (both are batched)")
-    explain.add_argument("--engine", default="lattice", choices=["lattice", "mining"],
+    explain.add_argument("--engine", default="lattice", choices=list_engines(),
                          help="candidate-generation backend: the level-wise lattice "
                          "search or the packed-bitset closed-pattern miner")
     explain.add_argument("--support", type=float, default=0.05, help="support threshold tau")

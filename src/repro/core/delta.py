@@ -52,12 +52,9 @@ import numpy as np
 from repro.mining.alphabet import PredicateAlphabet
 from repro.mining.bitset import Extents, pack_rows, popcount
 from repro.obs import trace
-from repro.patterns.lattice import LatticeRecord, PatternStats
+from repro.patterns.lattice import MIN_RESPONSIBILITY, CandidateResult, LatticeRecord, PatternStats
 from repro.patterns.pattern import Pattern
 from repro.patterns.topk import select_top_k
-
-# The lattice's result filter (engine default; not a config knob).
-_MIN_RESPONSIBILITY = 0.0
 # Boundary screen: a filtered-out pair is re-scored exactly when its
 # pre-edit score plus FACTOR·(binned max observed drift) + FLOOR clears
 # its filter boundary and the k-th selected interestingness.  Drift grows
@@ -70,13 +67,12 @@ _SCREEN_SUPPORT_EDGES = np.array([0.1, 0.2, 0.4, 0.6, 0.8, 1.0])
 
 @dataclass
 class DeltaReplay:
-    """The replayed search output for one (metric, estimator) query."""
+    """The replayed search output for one (metric, estimator) query: the
+    candidate pool (``engine="delta"``) and Algorithm 2's selection."""
 
-    candidates: list[PatternStats]
+    result: CandidateResult
     selected: list[PatternStats]
     filter_seconds: float
-    num_evaluated: int
-    record: LatticeRecord
 
 
 def _batch_scores(estimator, extents: Extents) -> tuple[np.ndarray, np.ndarray]:
@@ -85,10 +81,7 @@ def _batch_scores(estimator, extents: Extents) -> tuple[np.ndarray, np.ndarray]:
         empty = np.zeros(0)
         return empty, empty
     with trace.span("delta.score", m=len(extents)):
-        bias = estimator.bias_change_batch(extents)
-        base = estimator.baseline
-        resp = -bias / base if base != 0.0 else np.zeros_like(bias)
-    return resp, bias
+        return estimator.score_batch(extents)
 
 
 @dataclass
@@ -269,7 +262,7 @@ def replay_search(
     def build_candidates() -> list[PatternStats]:
         built: list[PatternStats] = []
         for i, (predicate, _) in enumerate(entries):
-            if resp1[i] >= _MIN_RESPONSIBILITY:
+            if resp1[i] >= MIN_RESPONSIBILITY:
                 built.append(
                     PatternStats(
                         pattern=Pattern([predicate]),
@@ -304,7 +297,7 @@ def replay_search(
     # Phase-1 selection over the exactly-scored pool.
     supports2 = geometry.supports2
     scored = ~np.isnan(resp2)
-    in_result = scored & (resp2 >= _MIN_RESPONSIBILITY)
+    in_result = scored & (resp2 >= MIN_RESPONSIBILITY)
     if prune:
         in_result &= resp2 > bars
     candidates = build_candidates()
@@ -343,7 +336,7 @@ def replay_search(
     resp_pre = rec_resp[pairs]
     screenable = unknown & has_pre & ~rec_in_result[pairs]
     with np.errstate(invalid="ignore"):
-        reachable = resp_pre + margin >= _MIN_RESPONSIBILITY
+        reachable = resp_pre + margin >= MIN_RESPONSIBILITY
         if prune:
             reachable &= resp_pre + margin > bars
         reachable &= (resp_pre + margin) / supports2 >= kth_interest
@@ -354,7 +347,7 @@ def replay_search(
         resp2[rescore] = resp_extra
         bias2[rescore] = bias_extra
         scored = ~np.isnan(resp2)
-        in_result = scored & (resp2 >= _MIN_RESPONSIBILITY)
+        in_result = scored & (resp2 >= MIN_RESPONSIBILITY)
         if prune:
             in_result &= resp2 > bars
         if np.any(rescore & in_result):
@@ -384,13 +377,11 @@ def replay_search(
         pair_bias_changes=np.where(scored, bias2, rec_bias[pairs]),
         pair_in_result=in_result,
     )
-    return (
-        DeltaReplay(
-            candidates=candidates,
-            selected=selected,
-            filter_seconds=filter_seconds,
-            num_evaluated=int(batch.shape[0] + np.count_nonzero(rescore)),
-            record=new_record,
-        ),
-        "",
+    result = CandidateResult(
+        candidates=candidates,
+        levels=[],
+        num_evaluated=int(batch.shape[0] + np.count_nonzero(rescore)),
+        record=new_record,
+        engine="delta",
     )
+    return DeltaReplay(result, selected, filter_seconds), ""

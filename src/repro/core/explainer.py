@@ -10,14 +10,14 @@ from repro.core.config import GopherConfig
 from repro.core.explanation import Explanation, ExplanationSet
 from repro.core.session import AuditSession
 from repro.datasets.base import Dataset, ProtectedGroup
-from repro.datasets.encoding import TabularEncoder
 from repro.fairness.metrics import FairnessContext, get_metric
-from repro.fairness.report import FairnessReport, fairness_report
+from repro.fairness.report import FairnessReport
 from repro.influence.estimators import InfluenceEstimator
 from repro.influence.retrain import RetrainInfluence
-from repro.mining.engine import make_engine
+from repro.mining.engine import CandidateResult, make_engine
 from repro.models.base import TwiceDifferentiableClassifier
 from repro.obs import trace
+from repro.patterns.lattice import PatternStats
 from repro.patterns.pattern import Pattern
 from repro.patterns.topk import select_top_k
 
@@ -33,23 +33,23 @@ class GopherExplainer:
         result = gopher.explain(k=3)
         print(result.render())
 
-    ``fit`` encodes the data, trains the model (unless it is already
-    fitted — a pre-fitted model whose feature dimension does not match the
-    encoding is rejected), measures the original bias on the test split
-    and pre-computes the influence machinery; ``explain`` runs the
-    candidate search and the diversity filter, optionally verifying each
-    winner by retraining.
-
-    An explainer is a *view over an audit session*: one (metric, protected
-    group, estimator) question bound to the shared per-model caches of an
-    :class:`~repro.core.AuditSession`.  ``fit`` builds a private session,
-    so single-question use looks exactly as before; for many questions of
-    one model, build the session once and mint views from it::
+    An explainer is a *view over an audit session*.  It holds one question
+    — the metric, the protected group, the estimator and the search
+    config (``config`` stays mutable and is read on every ``explain``) —
+    and reads everything else from ``self.session``: the encoded splits,
+    the trained model's influence artifacts and the candidate alphabet.
+    ``fit`` builds a private :class:`~repro.core.AuditSession` (encode,
+    train unless already fitted, build the caches) and binds to it; for
+    many questions of one model, build the session once and mint views
+    from it::
 
         session = AuditSession(model).fit(train, test)
         sp = session.explainer(metric="statistical_parity")
         eo = session.explainer(metric="equal_opportunity")
         # both share one Hessian factorization, one predicate alphabet ...
+
+    ``explain`` runs the candidate search and the diversity filter,
+    optionally verifying each winner by retraining.
     """
 
     def __init__(
@@ -58,16 +58,10 @@ class GopherExplainer:
         config: GopherConfig | None = None,
         **overrides: object,
     ) -> None:
-        if config is not None and overrides:
-            raise ValueError("pass either a config object or keyword overrides, not both")
         self.model = model
-        self.config = config if config is not None else GopherConfig(**overrides)  # type: ignore[arg-type]
+        self.config = GopherConfig.from_overrides(config, overrides)
         self.metric = get_metric(self.config.metric)
         self.session: AuditSession | None = None
-        self.encoder: TabularEncoder | None = None
-        self.train_data: Dataset | None = None
-        self.test_data: Dataset | None = None
-        self.X_train: np.ndarray | None = None
         self.test_ctx: FairnessContext | None = None
         self.estimator: InfluenceEstimator | None = None
         self.protected_group: ProtectedGroup | None = None
@@ -83,27 +77,22 @@ class GopherExplainer:
         ``explain`` calls (and ``explain_updates`` et al.) reuse the
         session's caches.
         """
-        session = AuditSession(self.model, self.config).fit(train, test)
-        self._bind_session(session, None)
+        self._bind_session(AuditSession(self.model, self.config).fit(train, test), None)
         return self
 
     def _bind_session(self, session: AuditSession, group: ProtectedGroup | None) -> None:
-        """Borrow a session's shared state and build this view's per-query
-        half (context, estimator) for one protected group."""
-        assert session.train_data is not None
+        """Bind to a session and build this view's per-query half (context,
+        estimator) for one protected group — by default the test split's
+        declared one, as :meth:`AuditSession.context_for` resolves it."""
         self.session = session
-        self.train_data = session.train_data
-        self.test_data = session.test_data
-        self.encoder = session.encoder
-        self.X_train = session.X_train
-        self.protected_group = group if group is not None else session.train_data.protected
-        self.test_ctx = session.context_for(group)
+        self.protected_group = group if group is not None else session.test_data.protected
+        self.test_ctx = session.context_for(self.protected_group)
         # The view's config is authoritative for its estimator: name and
         # kwargs were both derived (or given) on this config, so pass them
         # through explicitly rather than letting the session re-derive.
         self.estimator = session.estimator_for(
             metric=self.config.metric,
-            group=group,
+            group=self.protected_group,
             estimator=self.config.estimator,
             **self.config.estimator_kwargs,
         )
@@ -118,14 +107,12 @@ class GopherExplainer:
     def original_bias(self) -> float:
         """F(θ*, D_test) with the hard metric."""
         self._require_fitted()
-        assert self.estimator is not None
         return self.estimator.original_bias
 
     def report(self) -> FairnessReport:
         """Accuracy + all fairness metrics of the fitted model."""
         self._require_fitted()
-        assert self.test_ctx is not None
-        return fairness_report(self.model, self.test_ctx)
+        return self.session.report(self.protected_group)
 
     # ------------------------------------------------------------------
     def explain(self, k: int = 3, verify: bool = True) -> ExplanationSet:
@@ -133,22 +120,21 @@ class GopherExplainer:
 
         Candidate generation goes through the configured engine —
         ``engine="lattice"`` for the paper's level-wise search,
-        ``engine="mining"`` for the packed-bitset closed-pattern miner;
-        both produce the same top-k.  With ``verify=True`` each selected
-        explanation's subset is actually removed and the model retrained,
-        filling the ground-truth Δbias fields the paper's tables report.
+        ``engine="mining"`` for the packed-bitset closed-pattern miner.
+        Their top-k agree where tests pin it — the ``series`` estimator on
+        German and the planted-bias synthetic set — but not in general
+        (``test_engines_diverge_on_german_first_order``).  With
+        ``verify=True`` each selected explanation's subset is actually
+        removed and the model retrained, filling the ground-truth Δbias
+        fields the paper's tables report.
         """
         self._require_fitted()
-        assert self.train_data is not None and self.estimator is not None
-        assert self.session is not None and self.protected_group is not None
-        cfg = self.config
-
+        cfg, session = self.config, self.session
         start = time.perf_counter()
-        engine = make_engine(cfg.engine)
-        self.session.metrics.inc(f"engine.{cfg.engine}_searches")
+        session.metrics.inc(f"engine.{cfg.engine}_searches")
         with trace.span("explain.search", engine=cfg.engine) as search_span:
-            lattice = engine.generate(
-                self.train_data.table,
+            result = make_engine(cfg.engine).generate(
+                session.train_data.table,
                 self.estimator,
                 support_threshold=cfg.support_threshold,
                 max_predicates=cfg.max_predicates,
@@ -157,56 +143,61 @@ class GopherExplainer:
                 prune_by_responsibility=cfg.prune_by_responsibility,
                 max_responsibility=cfg.max_responsibility,
                 batch_size=cfg.search_batch_size,
-                alphabet_cache=self.session.alphabet_cache,
+                alphabet_cache=session.alphabet_cache,
             )
-            search_span.set(
-                candidates=lattice.num_candidates, evaluated=lattice.num_evaluated
-            )
+            search_span.set(candidates=result.num_candidates, evaluated=result.num_evaluated)
         search_seconds = time.perf_counter() - start
         protected_only = (
             {self.protected_group.attribute} if cfg.exclude_protected_only else None
         )
         with trace.span("explain.filter", k=k):
             selected, filter_seconds = select_top_k(
-                lattice,
+                result.candidates,
                 k,
                 cfg.containment_threshold,
                 exclude_features_only=protected_only,
                 max_responsibility=cfg.max_responsibility,
             )
+        return self._answer(result, selected, search_seconds, filter_seconds, verify)
+
+    def _answer(
+        self,
+        result: CandidateResult,
+        selected: list[PatternStats],
+        search_seconds: float,
+        filter_seconds: float,
+        verify: bool,
+    ) -> ExplanationSet:
+        """The ranked answer from Algorithm 2's ``selected`` candidates.
+
+        Both :meth:`explain` and the delta replay of
+        :meth:`AuditSession.delta_audit` answer through here; ``verify``
+        retrains once per selected subset to fill the ground-truth fields.
+        """
         explanations = [Explanation.from_stats(i + 1, s) for i, s in enumerate(selected)]
         if verify:
             with trace.span("explain.verify", subsets=len(explanations)):
-                self._verify(explanations, [s.mask() for s in selected])
+                if selected:
+                    responsibilities, deltas = self._retrainer().score_batch(
+                        [s.mask() for s in selected]
+                    )
+                    for explanation, resp, delta in zip(explanations, responsibilities, deltas):
+                        explanation.gt_bias_change = float(delta)
+                        explanation.gt_responsibility = float(resp)
         return ExplanationSet(
             explanations=explanations,
-            metric_name=cfg.metric,
+            metric_name=self.config.metric,
             original_bias=self.original_bias,
             search_seconds=search_seconds,
             filter_seconds=filter_seconds,
-            lattice=lattice,
+            lattice=result,
         )
 
-    def _verify(self, explanations: list[Explanation], masks: list[np.ndarray]) -> None:
-        if not explanations:
-            return
-        retrainer = self._retrainer()
-        # One batch call; retraining has no closed form, so this resolves to
-        # one refit per subset internally, but keeps the call site uniform
-        # with the estimators that do batch.
-        deltas = retrainer.bias_change_batch(masks)
-        for explanation, delta in zip(explanations, deltas):
-            explanation.gt_bias_change = float(delta)
-            explanation.gt_responsibility = (
-                -float(delta) / retrainer.original_bias if retrainer.original_bias else 0.0
-            )
-
     def _retrainer(self) -> RetrainInfluence:
-        assert self.train_data is not None and self.X_train is not None
-        assert self.test_ctx is not None
+        session = self.session
         return RetrainInfluence(
-            self.model, self.X_train, self.train_data.labels, self.metric, self.test_ctx,
-            n_jobs=self.config.retrain_jobs,
+            self.model, session.X_train, session.train_data.labels, self.metric,
+            self.test_ctx, n_jobs=self.config.retrain_jobs,
         )
 
     # ------------------------------------------------------------------
@@ -235,18 +226,17 @@ class GopherExplainer:
         from repro.updates.projected_gd import find_update_explanations
 
         self._require_fitted()
-        assert self.train_data is not None and self.encoder is not None
-        assert self.X_train is not None and self.test_ctx is not None
+        session = self.session
         patterns, subsets = [], []
         for explanation in explanations:
             patterns.append(explanation.pattern)
-            subsets.append(np.flatnonzero(explanation.pattern.mask(self.train_data.table)))
+            subsets.append(np.flatnonzero(explanation.pattern.mask(session.train_data.table)))
         removal_changes, removal_sources = self._removal_references(explanations, subsets)
         return find_update_explanations(
             self.model,
-            self.encoder,
-            self.X_train,
-            self.train_data.labels,
+            session.encoder,
+            session.X_train,
+            session.train_data.labels,
             self.metric,
             self.test_ctx,
             patterns,
@@ -272,11 +262,10 @@ class GopherExplainer:
         if self._update_ctx is None:
             from repro.updates.projected_gd import UpdateSearchContext
 
-            assert self.session is not None and self.train_data is not None
-            assert self.X_train is not None and self.test_ctx is not None
+            session = self.session
             self._update_ctx = UpdateSearchContext(
-                self.model, self.X_train, self.train_data.labels, self.metric,
-                self.test_ctx, artifacts=self.session.artifacts,
+                self.model, session.X_train, session.train_data.labels, self.metric,
+                self.test_ctx, artifacts=session.artifacts,
             )
         return self._update_ctx
 
@@ -285,7 +274,6 @@ class GopherExplainer:
     ) -> tuple[list[float | None], list[str | None]]:
         """Reference removal ΔF per explanation: ground truth when verified,
         else the fitted estimator's estimate (one batched query)."""
-        assert self.estimator is not None
         missing = [
             i for i, e in enumerate(explanations) if e.gt_bias_change is None
         ]
@@ -325,10 +313,9 @@ class GopherExplainer:
         ``patterns``.
         """
         self._require_fitted()
-        assert self.train_data is not None and self.estimator is not None
         masks = []
         for pattern in patterns:
-            mask = pattern.mask(self.train_data.table)
+            mask = pattern.mask(self.session.train_data.table)
             if not mask.any():
                 raise ValueError(f"pattern {pattern} matches no training rows")
             masks.append(mask)

@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.core.config import GopherConfig
 from repro.core.delta import replay_geometry, replay_search
-from repro.core.explanation import Explanation, ExplanationSet
+from repro.core.explanation import ExplanationSet
 from repro.datasets.base import Dataset, ProtectedGroup
 from repro.datasets.edits import DataEdit
 from repro.datasets.encoding import TabularEncoder
@@ -43,23 +44,22 @@ from repro.datasets.splits import train_test_split
 from repro.fairness.metrics import FairnessContext, get_metric, list_metrics
 from repro.fairness.report import FairnessReport, fairness_report
 from repro.influence.artifacts import ModelArtifacts
-from repro.influence.estimators import InfluenceEstimator, make_estimator
+from repro.influence.estimators import InfluenceEstimator, make_estimator, resolve_estimator
 from repro.mining.alphabet import AlphabetCache
-from repro.mining.engine import CandidateResult
 from repro.models.base import TwiceDifferentiableClassifier
 from repro.obs import trace
 from repro.obs.cost import CostReport
 from repro.obs.lazy import Lazy
 from repro.obs.metrics import MetricsRegistry
 
-# "exact" and "series" are first-class names for the two second-order
-# variants (see make_estimator); for kwarg-inheritance purposes they are
-# the same estimator family.
-_SECOND_ORDER_NAMES = frozenset({"second_order", "exact", "series"})
 
+@dataclass
+class _QueryTiming:
+    """What :meth:`AuditSession._timed_query` measured for one query."""
 
-def _same_estimator_family(a: str, b: str) -> bool:
-    return a == b or (a in _SECOND_ORDER_NAMES and b in _SECOND_ORDER_NAMES)
+    span: trace.Span
+    seconds: float = 0.0
+    cost: CostReport | None = None
 
 
 @dataclass
@@ -339,10 +339,8 @@ class AuditSession:
         config: GopherConfig | None = None,
         **overrides: object,
     ) -> None:
-        if config is not None and overrides:
-            raise ValueError("pass either a config object or keyword overrides, not both")
         self.model = model
-        self.config = config if config is not None else GopherConfig(**overrides)  # type: ignore[arg-type]
+        self.config = GopherConfig.from_overrides(config, overrides)
         self.train_data: Dataset | None = None
         self.test_data: Dataset | None = None
         self.encoder: TabularEncoder | None = None
@@ -448,12 +446,10 @@ class AuditSession:
         for group in groups if groups is not None else [self.test_data.protected]:
             self.context_for(group)
         name = estimator if estimator is not None else self.config.estimator
-        kwargs = self._estimator_kwargs_for(name)
-        family = "second_order" if name in ("exact", "series") else name
-        variant = name if name in ("exact", "series") else kwargs.get("variant", "exact")
+        family, kwargs = resolve_estimator(name, self._estimator_kwargs_for(name))
         self.artifacts.warm(
             damping=float(kwargs.get("damping", 0.0)),  # type: ignore[arg-type]
-            exact=family == "second_order" and variant == "exact",
+            exact=family == "second_order" and kwargs.get("variant", "exact") == "exact",
             learning_rate=family == "one_step_gd"
             and kwargs.get("learning_rate", "auto") == "auto",
         )
@@ -570,14 +566,15 @@ class AuditSession:
         dropping a shared ``damping`` there would silently change scores
         *and* add a second Hessian factorization — but an alias fixes its
         own ``variant``, so that one key is removed rather than conflict
-        with ``make_estimator``'s alias check.  One rule, used both for a
-        view's config (:meth:`explainer`) and for direct
-        :meth:`estimator_for` calls.
+        with the alias check of :func:`~repro.influence.estimators.resolve_estimator`.
+        One rule, used both for a view's config (:meth:`explainer`) and for
+        direct :meth:`estimator_for` calls.
         """
-        if not _same_estimator_family(name, self.config.estimator):
+        family = resolve_estimator(name, {})[0]
+        if family != resolve_estimator(self.config.estimator, {})[0]:
             return {}
         kwargs = dict(self.config.estimator_kwargs)
-        if name in ("exact", "series"):
+        if family != name:
             kwargs.pop("variant", None)
         return kwargs
 
@@ -646,28 +643,13 @@ class AuditSession:
         ):
             for group in group_list:
                 for metric in metric_names:
-                    start = time.perf_counter()
-                    with trace.span(
-                        "audit.query", metric=metric, group=group.describe()
-                    ) as query_span:
-                        view = self.explainer(
-                            metric=metric, group=group, estimator=estimator
-                        )
+                    with self._timed_query("audit.query", metric, group) as timed:
+                        view = self.explainer(metric=metric, group=group, estimator=estimator)
                         explanations = view.explain(k=k, verify=verify)
-                    seconds = time.perf_counter() - start
-                    self.metrics.observe("audit.query_seconds", seconds)
-                    cost = (
-                        CostReport.from_span(query_span)
-                        if trace.get_tracer().enabled
-                        else None
-                    )
                     queries.append(
                         AuditQuery(
-                            metric=metric,
-                            group=group,
-                            explanations=explanations,
-                            seconds=seconds,
-                            cost=cost,
+                            metric=metric, group=group, explanations=explanations,
+                            seconds=timed.seconds, cost=timed.cost,
                         )
                     )
         result = AuditResult(
@@ -681,6 +663,24 @@ class AuditSession:
                 metric_names, group_list, k, verify, estimator
             )
         return result
+
+    @contextmanager
+    def _timed_query(self, span_name: str, metric: str, group: ProtectedGroup):
+        """Time one grid cell of an audit or delta audit.
+
+        The block runs inside the query's span; on exit the yielded
+        :class:`_QueryTiming` holds its wall time (also observed as
+        ``audit.query_seconds``) and its :class:`CostReport` (None while
+        tracing is off).
+        """
+        start = time.perf_counter()
+        with trace.span(span_name, metric=metric, group=group.describe()) as query_span:
+            timed = _QueryTiming(query_span)
+            yield timed
+        timed.seconds = time.perf_counter() - start
+        self.metrics.observe("audit.query_seconds", timed.seconds)
+        if trace.get_tracer().enabled:
+            timed.cost = CostReport.from_span(query_span)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -807,24 +807,12 @@ class AuditSession:
         after_queries: list[AuditQuery] = []
         with trace.span("delta.grid", queries=len(before.queries)):
             for bq in before.queries:
-                t0 = time.perf_counter()
-                with trace.span(
-                    "delta.query", metric=bq.metric, group=bq.group.describe()
-                ) as query_span:
-                    view = self.explainer(
-                        metric=bq.metric, group=bq.group, estimator=estimator
-                    )
+                with self._timed_query("delta.query", bq.metric, bq.group) as timed:
+                    view = self.explainer(metric=bq.metric, group=bq.group, estimator=estimator)
                     after_set, certified, recheck_ran, reason = self._delta_query(
                         bq, view, k, verify, recheck, level1_stable, alphabet, geometry
                     )
-                    query_span.set(certified=certified, recheck_ran=recheck_ran)
-                seconds = time.perf_counter() - t0
-                self.metrics.observe("audit.query_seconds", seconds)
-                cost = (
-                    CostReport.from_span(query_span)
-                    if trace.get_tracer().enabled
-                    else None
-                )
+                    timed.span.set(certified=certified, recheck_ran=recheck_ran)
                 delta_queries.append(
                     DeltaQuery(
                         metric=bq.metric,
@@ -833,15 +821,15 @@ class AuditSession:
                         after=after_set,
                         certified=certified,
                         recheck_ran=recheck_ran,
-                        seconds=seconds,
+                        seconds=timed.seconds,
                         reason=reason,
-                        cost=cost,
+                        cost=timed.cost,
                     )
                 )
                 after_queries.append(
                     AuditQuery(
                         metric=bq.metric, group=bq.group,
-                        explanations=after_set, seconds=seconds, cost=cost,
+                        explanations=after_set, seconds=timed.seconds, cost=timed.cost,
                     )
                 )
         after = AuditResult(
@@ -890,7 +878,7 @@ class AuditSession:
                     geometry=geometry,
                 )
                 if replay is not None:
-                    replay_span.set(evaluated=replay.num_evaluated)
+                    replay_span.set(evaluated=replay.result.num_evaluated)
         else:
             replay, reason = None, "the edit changed the level-1 alphabet"
         if replay is None:
@@ -901,24 +889,7 @@ class AuditSession:
                 )
             return view.explain(k=k, verify=verify), False, True, reason
         search_seconds = time.perf_counter() - search_start
-
-        explanations = [
-            Explanation.from_stats(i + 1, s) for i, s in enumerate(replay.selected)
-        ]
-        if verify:
-            view._verify(explanations, [s.mask() for s in replay.selected])
-        after_set = ExplanationSet(
-            explanations=explanations,
-            metric_name=cfg.metric,
-            original_bias=view.original_bias,
-            search_seconds=search_seconds,
-            filter_seconds=replay.filter_seconds,
-            lattice=CandidateResult(
-                candidates=replay.candidates,
-                levels=[],
-                engine="delta",
-                num_evaluated=replay.num_evaluated,
-                record=replay.record,
-            ),
+        after_set = view._answer(
+            replay.result, replay.selected, search_seconds, replay.filter_seconds, verify
         )
         return after_set, True, False, ""

@@ -17,7 +17,7 @@ Definition 3.2.
 """
 
 from repro.influence.artifacts import ModelArtifacts
-from repro.influence.estimators import InfluenceEstimator, make_estimator
+from repro.influence.estimators import InfluenceEstimator, list_estimators, make_estimator
 from repro.influence.first_order import FirstOrderInfluence
 from repro.influence.hessian import HessianSolver
 from repro.influence.one_step_gd import OneStepGradientDescent, auto_learning_rate
@@ -35,6 +35,7 @@ __all__ = [
     "RetrainTask",
     "SecondOrderInfluence",
     "auto_learning_rate",
+    "list_estimators",
     "make_estimator",
     "retrain_thetas",
 ]

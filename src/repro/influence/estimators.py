@@ -254,6 +254,20 @@ class InfluenceEstimator(ABC):
             raise ZeroDivisionError("original bias is zero; responsibility is undefined")
         return -self.bias_change_batch(subsets) / baseline
 
+    def score_batch(self, subsets) -> tuple[np.ndarray, np.ndarray]:
+        """``(responsibilities, bias changes)`` of a batch: the search's scores.
+
+        The one rule every candidate search ranks by.  Unlike
+        :meth:`responsibility_batch` a zero baseline does not raise: every
+        subset then scores responsibility 0, so a bias-free model yields
+        no root cause instead of aborting the search.
+        """
+        bias_changes = self.bias_change_batch(subsets)
+        baseline = self.baseline
+        if baseline == 0.0:
+            return np.zeros_like(bias_changes), bias_changes
+        return -bias_changes / baseline, bias_changes
+
     def _extent_cache_spec(self) -> tuple | None:
         """Key identifying everything Δθ depends on besides the extent.
 
@@ -357,6 +371,50 @@ class InfluenceEstimator(ABC):
         return indices
 
 
+# "exact" and "series" name the two second-order variants directly.
+_VARIANT_ALIASES = ("exact", "series")
+
+
+def _registry() -> dict[str, type[InfluenceEstimator]]:
+    """The estimator families by name (imported here: each subclasses the base)."""
+    from repro.influence.first_order import FirstOrderInfluence
+    from repro.influence.one_step_gd import OneStepGradientDescent
+    from repro.influence.retrain import RetrainInfluence
+    from repro.influence.second_order import SecondOrderInfluence
+
+    return {
+        "first_order": FirstOrderInfluence,
+        "second_order": SecondOrderInfluence,
+        "one_step_gd": OneStepGradientDescent,
+        "retrain": RetrainInfluence,
+    }
+
+
+def list_estimators() -> list[str]:
+    """Names accepted by :func:`make_estimator` (and ``GopherConfig.estimator``)."""
+    return sorted([*_registry(), *_VARIANT_ALIASES])
+
+
+def resolve_estimator(name: str, kwargs: dict) -> tuple[str, dict]:
+    """The registry family and constructor kwargs an estimator name stands for.
+
+    ``"exact"`` and ``"series"`` resolve to ``second_order`` with that
+    ``variant`` fixed (a conflicting explicit ``variant`` is rejected);
+    every other registered name is its own family.  Unknown names raise
+    ``ValueError`` listing the available ones.
+    """
+    if name in _VARIANT_ALIASES:
+        if kwargs.get("variant", name) != name:
+            raise ValueError(
+                f"estimator {name!r} already fixes variant={name!r}; "
+                f"got conflicting variant={kwargs['variant']!r}"
+            )
+        return "second_order", {**kwargs, "variant": name}
+    if name not in _registry():
+        raise ValueError(f"unknown estimator {name!r}; available: {list_estimators()}")
+    return name, kwargs
+
+
 def make_estimator(
     name: str,
     model: TwiceDifferentiableClassifier,
@@ -366,15 +424,10 @@ def make_estimator(
     test_ctx: FairnessContext,
     **kwargs: object,
 ) -> InfluenceEstimator:
-    """Factory over the four estimator families.
+    """Factory over the estimator families of :func:`list_estimators`.
 
-    ``name`` is one of ``"first_order"``, ``"second_order"``,
-    ``"one_step_gd"``, ``"retrain"``; extra keyword arguments are forwarded
-    to the estimator constructor.  ``"exact"`` and ``"series"`` are
-    accepted as aliases for the two second-order variants — both are batch
-    fast paths now, so naming the variant directly is a first-class way to
-    pick the search estimator (a conflicting explicit ``variant`` kwarg is
-    rejected).
+    ``name`` is resolved by :func:`resolve_estimator`; extra keyword
+    arguments are forwarded to the estimator constructor.
 
     Pass ``artifacts=ModelArtifacts(model, X_train, y_train)`` to share the
     metric-independent start-up caches (per-sample gradients, Hessian
@@ -382,28 +435,5 @@ def make_estimator(
     same fitted model — the amortization a multi-metric, multi-group audit
     lives on.  Omitted, each estimator builds a private bundle.
     """
-    from repro.influence.first_order import FirstOrderInfluence
-    from repro.influence.one_step_gd import OneStepGradientDescent
-    from repro.influence.retrain import RetrainInfluence
-    from repro.influence.second_order import SecondOrderInfluence
-
-    if name in ("exact", "series"):
-        if kwargs.get("variant", name) != name:
-            raise ValueError(
-                f"estimator {name!r} already fixes variant={name!r}; "
-                f"got conflicting variant={kwargs['variant']!r}"
-            )
-        kwargs = {**kwargs, "variant": name}
-        name = "second_order"
-    registry = {
-        "first_order": FirstOrderInfluence,
-        "second_order": SecondOrderInfluence,
-        "one_step_gd": OneStepGradientDescent,
-        "retrain": RetrainInfluence,
-    }
-    try:
-        cls = registry[name]
-    except KeyError:
-        available = sorted([*registry, "exact", "series"])
-        raise ValueError(f"unknown estimator {name!r}; available: {available}") from None
-    return cls(model, X_train, y_train, metric, test_ctx, **kwargs)  # type: ignore[arg-type]
+    family, kwargs = resolve_estimator(name, kwargs)
+    return _registry()[family](model, X_train, y_train, metric, test_ctx, **kwargs)

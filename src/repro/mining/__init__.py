@@ -7,10 +7,10 @@ The subsystem has three layers:
 * :mod:`repro.mining.closed` — LCM-style depth-first closed-pattern
   enumeration with support and responsibility pruning, scoring buffered
   frontiers through the packed batched influence API;
-* :mod:`repro.mining.engine` — the :class:`CandidateEngine` strategy
-  protocol with :class:`LatticeEngine` (Algorithm 1 as published) and
-  :class:`ClosedMiningEngine` (this subsystem) as interchangeable
-  backends behind ``GopherConfig(engine=...)``.
+* :mod:`repro.mining.engine` — :class:`LatticeEngine` (Algorithm 1 as
+  published) and :class:`ClosedMiningEngine` (this subsystem), the two
+  backends behind ``GopherConfig(engine=...)``, both returning a
+  :class:`CandidateResult`.
 """
 
 from repro.mining.alphabet import AlphabetCache, PredicateAlphabet, resolve_alphabet
@@ -26,25 +26,21 @@ from repro.mining.bitset import (
 )
 from repro.mining.closed import MinedCandidates, mine_closed_candidates
 from repro.mining.engine import (
-    CandidateEngine,
     CandidateResult,
     ClosedMiningEngine,
     LatticeEngine,
-    as_candidate_result,
     list_engines,
     make_engine,
 )
 
 __all__ = [
     "AlphabetCache",
-    "CandidateEngine",
     "CandidateResult",
     "ClosedMiningEngine",
     "Extents",
     "LatticeEngine",
     "MinedCandidates",
     "PredicateAlphabet",
-    "as_candidate_result",
     "resolve_alphabet",
     "covers_all",
     "extent_key",

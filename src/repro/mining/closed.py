@@ -129,7 +129,13 @@ from repro.mining.bitset import (
     unpack_rows,
 )
 from repro.obs import trace
-from repro.patterns.lattice import LatticeLevelStats, PatternStats, _parent_bar
+from repro.patterns.lattice import (
+    MIN_RESPONSIBILITY,
+    CandidateResult,
+    LatticeLevelStats,
+    PatternStats,
+    _parent_bar,
+)
 from repro.patterns.pattern import Pattern
 from repro.patterns.predicate import Predicate
 from repro.tabular import Table
@@ -240,8 +246,9 @@ class _Node:
 
 
 @dataclass
-class MinedCandidates:
-    """Raw miner output, wrapped into a ``CandidateResult`` by the engine.
+class MinedCandidates(CandidateResult):
+    """Miner output: a :class:`CandidateResult` that also counts the
+    closed nodes the search visited (``num_closed``).
 
     ``levels`` maps the miner's per-depth accounting onto the lattice's
     Table-7 shape: candidates = nodes surviving pruning at that depth,
@@ -252,10 +259,8 @@ class MinedCandidates:
     the lattice, whose level timers are wall-clock per level.
     """
 
-    candidates: list[PatternStats]
-    levels: list[LatticeLevelStats]
-    num_evaluated: int
-    num_closed: int
+    num_closed: int = 0
+    engine: str = "mining"
 
 
 class _InfluenceCache:
@@ -267,7 +272,7 @@ class _InfluenceCache:
     estimator in whatever representation they arrive: packed rows are
     stacked into one packed :class:`~repro.mining.bitset.Extents` and
     sparse index arrays into one sparse one, each scored by one
-    ``bias_change_batch`` call — no pack/unpack round-trip on either path.
+    ``score_batch`` call — no pack/unpack round-trip on either path.
     """
 
     def __init__(
@@ -281,7 +286,6 @@ class _InfluenceCache:
         self.num_rows = num_rows
         self.batch_size = batch_size
         self.key_fn = key_fn
-        self.baseline = estimator.baseline
         self.by_key: dict[object, tuple[float, float]] = {}
         self.num_evaluated = 0
 
@@ -306,18 +310,14 @@ class _InfluenceCache:
                 sparse = [(key, tid) for key, tid in chunk if is_sparse(tid)]
                 if dense:
                     extents = Extents(np.stack([tid for _, tid in dense]), self.num_rows)
-                    self._store(dense, self.estimator.bias_change_batch(extents))
+                    self._store(dense, self.estimator.score_batch(extents))
                 if sparse:
                     extents = Extents([tid for _, tid in sparse], self.num_rows)
-                    self._store(sparse, self.estimator.bias_change_batch(extents))
+                    self._store(sparse, self.estimator.score_batch(extents))
                 self.num_evaluated += len(chunk)
 
-    def _store(self, pairs: list[tuple[object, np.ndarray]], bias_changes: np.ndarray) -> None:
-        if self.baseline != 0.0:
-            responsibilities = -bias_changes / self.baseline
-        else:
-            responsibilities = np.zeros_like(bias_changes)
-        for (key, _), resp, dbias in zip(pairs, responsibilities, bias_changes):
+    def _store(self, pairs: list[tuple[object, np.ndarray]], scores: tuple) -> None:
+        for (key, _), resp, dbias in zip(pairs, *scores):
             self.by_key[key] = (float(resp), float(dbias))
 
     def lookup(self, extent: np.ndarray) -> tuple[float, float]:
@@ -336,7 +336,6 @@ def mine_closed_candidates(
     num_bins: int = 4,
     exclude_features: set[str] | None = None,
     prune_by_responsibility: bool = True,
-    min_responsibility: float = 0.0,
     max_responsibility: float = 1.25,
     batch_size: int = 1024,
     alphabet=None,
@@ -344,8 +343,8 @@ def mine_closed_candidates(
     """Mine all closed candidate explanations of ``table``.
 
     Parameters mirror :func:`repro.patterns.lattice.compute_candidates`
-    exactly — the two are interchangeable candidate-generation backends
-    behind :class:`repro.mining.engine.CandidateEngine`.  ``batch_size``
+    exactly — the two are the candidate-generation backends behind
+    :func:`repro.mining.engine.make_engine`.  ``batch_size``
     bounds how many packed extents are buffered per influence call (the
     boolean unpack inside the estimator is further chunked, so it does not
     bound mask memory — the packed representation does).  ``alphabet`` is
@@ -393,7 +392,8 @@ def mine_closed_candidates(
     # queries.
     predicates, tids = alphabet.miner_items()
     if not predicates:
-        return MinedCandidates([], [LatticeLevelStats(1, 0, 0, time.perf_counter() - start)], 0, 0)
+        levels = [LatticeLevelStats(1, 0, 0, time.perf_counter() - start)]
+        return MinedCandidates([], levels, num_evaluated=0, num_closed=0)
     num_items = len(predicates)
 
     use_digest = num_rows >= _AUTO_DIGEST_MIN_ROWS
@@ -756,7 +756,7 @@ def mine_closed_candidates(
                 survived[key] = node.responsibility
                 defeated.discard(key)
                 survivors.add(node.depth, 1)
-                if node.responsibility >= min_responsibility:
+                if node.responsibility >= MIN_RESPONSIBILITY:
                     if key not in emitted_keys:
                         # The same extent can be revisited through another
                         # branch; the representative is extent-determined, so
@@ -804,7 +804,7 @@ def mine_closed_candidates(
         for depth in range(1, max_predicates + 1)
         if tried.get(depth) or survivors.get(depth) or depth == 1
     ]
-    return MinedCandidates(candidates, levels, cache.num_evaluated, num_closed)
+    return MinedCandidates(candidates, levels, cache.num_evaluated, num_closed=num_closed)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Pluggable candidate-generation backends for the Gopher pipeline.
 
 Algorithm 1's job — produce scored candidate explanations for Algorithm 2
-to rank — has two interchangeable implementations:
+to rank — has two implementations behind :func:`make_engine`:
 
 * :class:`LatticeEngine` — the level-wise lattice search of
   :func:`repro.patterns.lattice.compute_candidates` (the paper's layout);
@@ -9,64 +9,33 @@ to rank — has two interchangeable implementations:
   :mod:`repro.mining.closed`, which evaluates one candidate per distinct
   extent and streams influence scoring off packed masks.
 
-Both satisfy the :class:`CandidateEngine` protocol and return a
-:class:`CandidateResult`, which :func:`repro.patterns.select_top_k` and
-:class:`repro.core.GopherExplainer` consume interchangeably.  The engine
-equivalence suite pins identical top-k explanations on the benchmark
-workloads (German, Adult, the planted-bias synthetic set); the engines
-differ in how many candidates they evaluate (``num_evaluated``), in peak
-memory (the miner never holds an (m, n) boolean mask matrix), and — on
-adversarial tie-heavy instances — in which search path heuristic 2 is
-applied along (see the pruning notes in :mod:`repro.mining.closed`).
+Both take the same search parameters and return a :class:`CandidateResult`
+(defined next to the lattice, re-exported here), whose ``candidates``
+:func:`repro.patterns.select_top_k` ranks.  The engines differ in how many
+candidates they evaluate (``num_evaluated``), in peak memory (the miner
+never holds an (m, n) boolean mask matrix), and in the search path
+heuristic 2 is applied along (see the pruning notes in
+:mod:`repro.mining.closed`) — so their top-k agree only where tests pin
+it: the ``series`` estimator on German and on the planted-bias synthetic
+set (``tests/mining/test_engine_equivalence.py``).  On German with
+``first_order`` they diverge; ``test_engines_diverge_on_german_first_order``
+records that as a strict expected failure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
-
 from repro.influence.estimators import InfluenceEstimator
 from repro.mining.alphabet import AlphabetCache, resolve_alphabet
-from repro.patterns.lattice import (
-    LatticeLevelStats,
-    LatticeRecord,
-    LatticeResult,
-    PatternStats,
-    compute_candidates,
-)
+from repro.patterns.lattice import CandidateResult, compute_candidates
 from repro.tabular import Table
 
 
-@dataclass
-class CandidateResult:
-    """Scored candidates plus engine-level accounting, engine-agnostic.
+class _Engine:
+    """The search parameters both engines take, in one signature."""
 
-    ``num_evaluated`` counts influence evaluations actually issued — the
-    quantity the closed miner reduces (one per distinct extent) relative
-    to the lattice (one per surviving pattern).  ``levels`` reports
-    per-level (lattice) or per-depth (miner) search statistics in the
-    shape of the paper's Table 7.
-    """
-
-    candidates: list[PatternStats]
-    levels: list[LatticeLevelStats]
-    engine: str
-    num_evaluated: int
-    record: LatticeRecord | None = None
-
-    @property
-    def num_candidates(self) -> int:
-        return len(self.candidates)
-
-
-@runtime_checkable
-class CandidateEngine(Protocol):
-    """Strategy protocol every candidate-generation backend implements."""
-
-    name: str
-
-    def generate(
+    def _run(
         self,
+        search,
         table: Table,
         estimator: InfluenceEstimator,
         *,
@@ -75,41 +44,17 @@ class CandidateEngine(Protocol):
         num_bins: int = 4,
         exclude_features: set[str] | None = None,
         prune_by_responsibility: bool = True,
-        min_responsibility: float = 0.0,
         max_responsibility: float = 1.25,
         batch_size: int = 1024,
         alphabet_cache: AlphabetCache | None = None,
     ) -> CandidateResult:
-        """Run the search and return every surviving scored candidate.
+        """Run ``search`` — an Algorithm 1 implementation — over ``table``.
 
         ``alphabet_cache`` shares the level-1 predicate alphabet (and, for
         the miner, its packed tidlists) across repeated searches over the
         same table — the per-dataset half of the audit-session cost split.
         """
-        ...
-
-
-class LatticeEngine:
-    """Algorithm 1 as published: level-wise merge search over patterns."""
-
-    name = "lattice"
-
-    def generate(
-        self,
-        table: Table,
-        estimator: InfluenceEstimator,
-        *,
-        support_threshold: float = 0.05,
-        max_predicates: int = 3,
-        num_bins: int = 4,
-        exclude_features: set[str] | None = None,
-        prune_by_responsibility: bool = True,
-        min_responsibility: float = 0.0,
-        max_responsibility: float = 1.25,
-        batch_size: int = 1024,
-        alphabet_cache: AlphabetCache | None = None,
-    ) -> CandidateResult:
-        lattice = compute_candidates(
+        return search(
             table,
             estimator,
             support_threshold=support_threshold,
@@ -117,23 +62,26 @@ class LatticeEngine:
             num_bins=num_bins,
             exclude_features=exclude_features,
             prune_by_responsibility=prune_by_responsibility,
-            min_responsibility=min_responsibility,
             max_responsibility=max_responsibility,
             batch_size=batch_size,
             alphabet=resolve_alphabet(
                 table, alphabet_cache, support_threshold, num_bins, exclude_features
             ),
         )
-        return CandidateResult(
-            candidates=lattice.candidates,
-            levels=lattice.levels,
-            engine=self.name,
-            num_evaluated=lattice.num_evaluated,
-            record=lattice.record,
-        )
 
 
-class ClosedMiningEngine:
+class LatticeEngine(_Engine):
+    """Algorithm 1 as published: level-wise merge search over patterns."""
+
+    name = "lattice"
+
+    def generate(self, table: Table, estimator: InfluenceEstimator, **params) -> CandidateResult:
+        """:func:`~repro.patterns.lattice.compute_candidates`; ``params`` as
+        in :meth:`_Engine._run`."""
+        return self._run(compute_candidates, table, estimator, **params)
+
+
+class ClosedMiningEngine(_Engine):
     """Closed-pattern mining over packed bitsets (one node per extent).
 
     :func:`repro.mining.closed.mine_closed_candidates` selects projection
@@ -146,44 +94,12 @@ class ClosedMiningEngine:
 
     name = "mining"
 
-    def generate(
-        self,
-        table: Table,
-        estimator: InfluenceEstimator,
-        *,
-        support_threshold: float = 0.05,
-        max_predicates: int = 3,
-        num_bins: int = 4,
-        exclude_features: set[str] | None = None,
-        prune_by_responsibility: bool = True,
-        min_responsibility: float = 0.0,
-        max_responsibility: float = 1.25,
-        batch_size: int = 1024,
-        alphabet_cache: AlphabetCache | None = None,
-    ) -> CandidateResult:
+    def generate(self, table: Table, estimator: InfluenceEstimator, **params) -> CandidateResult:
+        """:func:`~repro.mining.closed.mine_closed_candidates`; ``params``
+        as in :meth:`_Engine._run`."""
         from repro.mining.closed import mine_closed_candidates
 
-        mined = mine_closed_candidates(
-            table,
-            estimator,
-            support_threshold=support_threshold,
-            max_predicates=max_predicates,
-            num_bins=num_bins,
-            exclude_features=exclude_features,
-            prune_by_responsibility=prune_by_responsibility,
-            min_responsibility=min_responsibility,
-            max_responsibility=max_responsibility,
-            batch_size=batch_size,
-            alphabet=resolve_alphabet(
-                table, alphabet_cache, support_threshold, num_bins, exclude_features
-            ),
-        )
-        return CandidateResult(
-            candidates=mined.candidates,
-            levels=mined.levels,
-            engine=self.name,
-            num_evaluated=mined.num_evaluated,
-        )
+        return self._run(mine_closed_candidates, table, estimator, **params)
 
 
 _ENGINES = {
@@ -197,25 +113,12 @@ def list_engines() -> list[str]:
     return sorted(_ENGINES)
 
 
-def make_engine(name: str) -> CandidateEngine:
+def make_engine(name: str) -> LatticeEngine | ClosedMiningEngine:
     """Factory over the candidate-generation backends."""
     try:
         cls = _ENGINES[name]
     except KeyError:
         raise ValueError(
-            f"unknown candidate engine {name!r}; available: {sorted(_ENGINES)}"
+            f"unknown candidate engine {name!r}; available: {list_engines()}"
         ) from None
     return cls()
-
-
-def as_candidate_result(result: CandidateResult | LatticeResult) -> CandidateResult:
-    """Normalize a raw :class:`LatticeResult` to the engine-agnostic type."""
-    if isinstance(result, CandidateResult):
-        return result
-    return CandidateResult(
-        candidates=result.candidates,
-        levels=result.levels,
-        engine="lattice",
-        num_evaluated=result.num_evaluated,
-        record=result.record,
-    )

@@ -48,6 +48,11 @@ from repro.patterns.candidates import generate_single_predicates
 from repro.patterns.pattern import Pattern
 from repro.tabular import Table
 
+# Candidates with a lower responsibility are kept out of a search's result
+# (they still merge upward).  Shared by both engines and the delta replay,
+# so all three filter the same pool; not a config knob.
+MIN_RESPONSIBILITY = 0.0
+
 
 @dataclass
 class PatternStats:
@@ -105,7 +110,7 @@ class LatticeRecord:
     ``pair_known`` mirrors the parent-reuse short-circuit (0 = evaluated,
     1/2 = extent collapsed onto the left/right parent, whose evaluation was
     reused verbatim); ``pair_in_result`` marks merges that survived the
-    responsibility bar and the minimum-responsibility filter into
+    responsibility bar and the :data:`MIN_RESPONSIBILITY` filter into
     ``candidates``.  Searches deeper than two levels do not record — their
     level-3+ frontier depends on scores and cannot be replayed structurally.
     """
@@ -123,20 +128,22 @@ class LatticeRecord:
 
 
 @dataclass
-class LatticeResult:
-    """Everything Algorithm 1 returns: candidates plus per-level stats.
+class CandidateResult:
+    """Everything Algorithm 1 returns, whichever engine ran it.
 
-    ``num_evaluated`` counts the influence evaluations actually issued —
-    merges that reuse a parent's evaluation (collapsed row sets) are
-    excluded.  The closed-pattern miner (``repro.mining``) reports the
-    same counter, which is how the candidate-space reduction of mining
-    closed extents is measured.
+    ``num_evaluated`` counts the influence evaluations actually issued:
+    the lattice reuses a parent's evaluation for collapsed row sets, the
+    closed miner issues one per distinct extent.  ``levels`` has the
+    shape of the paper's Table 7.  ``engine`` is ``"lattice"``,
+    ``"mining"`` or ``"delta"`` (an incremental replay); ``record`` is
+    the lattice's depth-2 replay state, when it kept one.
     """
 
     candidates: list[PatternStats]
     levels: list[LatticeLevelStats]
     num_evaluated: int = 0
     record: LatticeRecord | None = None
+    engine: str = "lattice"
 
     @property
     def num_candidates(self) -> int:
@@ -151,11 +158,10 @@ def compute_candidates(
     num_bins: int = 4,
     exclude_features: set[str] | None = None,
     prune_by_responsibility: bool = True,
-    min_responsibility: float = 0.0,
     max_responsibility: float = 1.25,
     batch_size: int = 1024,
     alphabet=None,
-) -> LatticeResult:
+) -> CandidateResult:
     """Run Algorithm 1 over ``table`` and return all surviving candidates.
 
     Parameters
@@ -178,10 +184,6 @@ def compute_candidates(
     prune_by_responsibility:
         Toggle for heuristic 2 — exposed so the ablation bench can measure
         how much of the space it removes.
-    min_responsibility:
-        Candidates below this responsibility are kept out of the *result*
-        (but still allowed to merge upward), letting callers drop
-        bias-increasing patterns early.
     max_responsibility:
         Root-cause cap for the pruning comparison: parents whose estimated
         responsibility falls outside (0, max_responsibility] do not veto
@@ -243,7 +245,7 @@ def compute_candidates(
         current: list[tuple[Pattern, np.ndarray, int, float, float]] = []
         for (pattern, mask), resp, dbias in zip(survivors, responsibilities, bias_changes):
             current.append((pattern, mask, int(mask.sum()), resp, dbias))
-            if resp >= min_responsibility:
+            if resp >= MIN_RESPONSIBILITY:
                 all_stats.append(_stats(pattern, mask, resp, dbias, num_rows))
         levels.append(
             LatticeLevelStats(1, len(current), num_singles, time.perf_counter() - start)
@@ -327,7 +329,7 @@ def compute_candidates(
                     in_result = False
                     if not (prune_by_responsibility and resp <= bar):
                         next_level.append((merged, mask, size, resp, dbias))
-                        if resp >= min_responsibility:
+                        if resp >= MIN_RESPONSIBILITY:
                             all_stats.append(_stats(merged, mask, resp, dbias, num_rows))
                             in_result = True
                     if recording and level == 2:
@@ -360,7 +362,7 @@ def compute_candidates(
             pair_bias_changes=np.array([r[5] for r in rec_pairs], dtype=np.float64),
             pair_in_result=np.array([r[6] for r in rec_pairs], dtype=bool),
         )
-    return LatticeResult(
+    return CandidateResult(
         candidates=all_stats, levels=levels, num_evaluated=num_evaluated, record=record
     )
 
@@ -425,17 +427,11 @@ def _evaluate_all(
     estimator: InfluenceEstimator, batches: list[Extents]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Responsibilities and bias changes of a level's packed candidate
-    batches — one ``bias_change_batch`` per batch, aligned with their rows."""
+    batches — one ``score_batch`` per batch, aligned with their rows."""
     if not batches:
-        empty = np.zeros(0)
-        return empty, empty
-    bias_changes = np.concatenate([estimator.bias_change_batch(batch) for batch in batches])
-    baseline = estimator.baseline
-    if baseline != 0.0:
-        responsibilities = -bias_changes / baseline
-    else:
-        responsibilities = np.zeros_like(bias_changes)
-    return responsibilities, bias_changes
+        return np.zeros(0), np.zeros(0)
+    responsibilities, bias_changes = zip(*(estimator.score_batch(b) for b in batches))
+    return np.concatenate(responsibilities), np.concatenate(bias_changes)
 
 
 def _stats(

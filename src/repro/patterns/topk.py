@@ -7,24 +7,20 @@ import time
 import numpy as np
 
 from repro.patterns.containment import containment
-from repro.patterns.lattice import LatticeResult, PatternStats
+from repro.patterns.lattice import PatternStats
 
 
 def select_top_k(
-    candidates: list[PatternStats] | LatticeResult,
+    candidates: list[PatternStats],
     k: int,
     containment_threshold: float = 0.75,
-    require_positive_responsibility: bool = True,
     exclude_features_only: set[str] | None = None,
     max_responsibility: float = 1.25,
 ) -> tuple[list[PatternStats], float]:
     """Pick the k most interesting, mutually diverse candidates.
 
-    ``candidates`` is either a plain list of :class:`PatternStats` or any
-    candidate-generation result carrying a ``candidates`` list — the
-    :class:`LatticeResult` of the lattice search or the engine-agnostic
-    :class:`repro.mining.engine.CandidateResult` either backend returns —
-    which is unwrapped to its candidate list.
+    ``candidates`` is the scored pool of Algorithm 1 — the ``candidates``
+    list of a :class:`~repro.patterns.lattice.CandidateResult`.
 
     Candidates are visited in descending interestingness order (ties broken
     by the canonical pattern order, giving the deterministic tie-break
@@ -33,8 +29,8 @@ def select_top_k(
 
     Definition 3.1 requires a *root cause* to satisfy
     ``0 <= F(after) < F(before)`` — removing it must reduce the bias, not
-    overshoot past zero and flip its sign.  ``require_positive_responsibility``
-    enforces the lower bound and ``max_responsibility`` the upper one; the
+    overshoot past zero and flip its sign.  Candidates with R <= 0 are
+    always dropped, and ``max_responsibility`` sets the upper bound; the
     default allows 25% slack above R = 1 because the lattice works with
     *estimated* responsibilities, and near-total fixes routinely estimate
     slightly above 1.  Set ``max_responsibility=float("inf")`` to disable.
@@ -49,10 +45,6 @@ def select_top_k(
     Returns ``(selected, filter_seconds)`` — the filtering time is reported
     separately because Table 7 tracks it independently of search time.
     """
-    if not isinstance(candidates, list):
-        # LatticeResult, CandidateResult, or anything else shaped like a
-        # candidate-generation result.
-        candidates = list(candidates.candidates)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not 0.0 < containment_threshold <= 1.0:
@@ -62,12 +54,7 @@ def select_top_k(
     if max_responsibility <= 0:
         raise ValueError(f"max_responsibility must be positive, got {max_responsibility}")
     start = time.perf_counter()
-    pool = [
-        c
-        for c in candidates
-        if (not require_positive_responsibility or c.responsibility > 0.0)
-        and c.responsibility <= max_responsibility
-    ]
+    pool = [c for c in candidates if 0.0 < c.responsibility <= max_responsibility]
     if exclude_features_only:
         pool = [c for c in pool if not c.pattern.features() <= exclude_features_only]
     ordered = sorted(pool, key=lambda c: (-c.interestingness, c.pattern.sort_key()))

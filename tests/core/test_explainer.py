@@ -46,8 +46,9 @@ class TestFit:
     def test_auto_split_path(self, german):
         gopher = GopherExplainer(LogisticRegression(l2_reg=1e-3), max_predicates=1)
         gopher.fit(german)  # no explicit test set
-        assert gopher.test_data is not None
-        assert gopher.train_data.num_rows + gopher.test_data.num_rows == german.num_rows
+        session = gopher.session
+        assert session.test_data is not None
+        assert session.train_data.num_rows + session.test_data.num_rows == german.num_rows
 
     def test_prefitted_model_not_refit(self, german_train, german_test, encoder, X_train):
         model = LogisticRegression(l2_reg=1e-3).fit(X_train, german_train.labels)
@@ -95,7 +96,7 @@ class TestExplain:
         assert result.search_seconds > 0
 
     def test_no_protected_only_patterns_by_default(self, result, fitted_gopher):
-        protected = fitted_gopher.train_data.protected.attribute
+        protected = fitted_gopher.session.train_data.protected.attribute
         for explanation in result:
             assert explanation.pattern.features() != {protected}
 
@@ -104,7 +105,7 @@ class TestResponsibilityOf:
     def test_matches_estimator(self, fitted_gopher):
         pattern = Pattern([Predicate("gender", "=", "Female")])
         est = fitted_gopher.responsibility_of(pattern)
-        mask = pattern.mask(fitted_gopher.train_data.table)
+        mask = pattern.mask(fitted_gopher.session.train_data.table)
         expected = fitted_gopher.estimator.responsibility(np.flatnonzero(mask))
         assert est == pytest.approx(expected)
 

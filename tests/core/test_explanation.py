@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.explanation import Explanation, ExplanationSet
 from repro.patterns import Pattern, Predicate
-from repro.patterns.lattice import LatticeResult, PatternStats
+from repro.patterns.lattice import CandidateResult, PatternStats
 
 
 def make_stats(responsibility=0.4, support=0.1):
@@ -29,7 +29,7 @@ def make_set(explanations):
         original_bias=0.2,
         search_seconds=1.0,
         filter_seconds=0.01,
-        lattice=LatticeResult(candidates=[], levels=[]),
+        lattice=CandidateResult(candidates=[], levels=[]),
     )
 
 

@@ -1,10 +1,13 @@
 """Tests for the estimator interface, factory, and shared plumbing."""
 
+import copy
+
 import numpy as np
 import pytest
 
-from repro.influence import make_estimator
-from repro.influence.estimators import InfluenceEstimator
+from repro.core import GopherConfig
+from repro.influence import list_estimators, make_estimator
+from repro.influence.estimators import InfluenceEstimator, resolve_estimator
 from repro.models import LogisticRegression
 
 
@@ -21,6 +24,31 @@ class TestFactory:
     def test_unknown_name(self, lr_model, X_train, german_train, sp_metric, test_ctx):
         with pytest.raises(ValueError, match="unknown estimator"):
             make_estimator("nope", lr_model, X_train, german_train.labels, sp_metric, test_ctx)
+
+    def test_one_list_of_names(self):
+        names = list_estimators()
+        assert names == [
+            "exact", "first_order", "one_step_gd", "retrain", "second_order", "series"
+        ]
+        for name in names:
+            assert GopherConfig(estimator=name).estimator == name
+
+    def test_aliases_resolve_to_second_order_variants(self):
+        assert resolve_estimator("exact", {"damping": 0.1}) == (
+            "second_order", {"damping": 0.1, "variant": "exact"}
+        )
+        assert resolve_estimator("series", {}) == ("second_order", {"variant": "series"})
+        assert resolve_estimator("first_order", {"evaluation": "smooth"}) == (
+            "first_order", {"evaluation": "smooth"}
+        )
+
+    def test_alias_rejects_conflicting_variant(self):
+        with pytest.raises(ValueError, match="already fixes variant"):
+            resolve_estimator("series", {"variant": "exact"})
+
+    def test_unknown_name_lists_choices(self):
+        with pytest.raises(ValueError, match="available: .*'series'"):
+            resolve_estimator("nope", {})
 
     def test_unfitted_model_rejected(self, X_train, german_train, sp_metric, test_ctx):
         with pytest.raises(ValueError, match="fitted"):
@@ -47,6 +75,24 @@ class TestFactory:
 
 
 class TestSharedPlumbing:
+    def test_score_batch_is_responsibility_and_bias_change(self, fo_estimator):
+        masks = [np.array([1, 4, 9]), np.arange(20, 60)]
+        responsibilities, bias_changes = fo_estimator.score_batch(masks)
+        np.testing.assert_array_equal(bias_changes, fo_estimator.bias_change_batch(masks))
+        np.testing.assert_array_equal(
+            responsibilities, fo_estimator.responsibility_batch(masks)
+        )
+
+    def test_score_batch_zero_baseline_scores_zero(self, fo_estimator):
+        unbiased = copy.copy(fo_estimator)
+        unbiased.original_bias = 0.0
+        masks = [np.array([1, 4, 9])]
+        responsibilities, bias_changes = unbiased.score_batch(masks)
+        np.testing.assert_array_equal(responsibilities, [0.0])
+        np.testing.assert_array_equal(bias_changes, fo_estimator.bias_change_batch(masks))
+        with pytest.raises(ZeroDivisionError):
+            unbiased.responsibility_batch(masks)
+
     def test_original_bias_matches_metric(self, fo_estimator, lr_model, sp_metric, test_ctx):
         assert fo_estimator.original_bias == pytest.approx(sp_metric.value(lr_model, test_ctx))
 

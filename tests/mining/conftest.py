@@ -22,7 +22,8 @@ from repro.tabular import Table
 
 @pytest.fixture(scope="session")
 def german_series_estimator(lr_model, X_train, german_train, sp_metric, test_ctx):
-    """The paper's default search estimator on the shared German pipeline."""
+    """The series second-order estimator (smooth evaluation) on the shared
+    German pipeline — the configuration the engines agree on."""
     return make_estimator(
         "second_order", lr_model, X_train, german_train.labels, sp_metric, test_ctx,
         variant="series", evaluation="smooth",

@@ -1,21 +1,26 @@
-"""Engine equivalence: closed mining == lattice search, end to end.
+"""Engine equivalence: closed mining == lattice search, where it holds.
 
-The acceptance contract of the mining backend: under the paper's default
-estimator configuration it must produce *identical* top-k explanations to
-the lattice — same pattern sets, scores equal to 1e-10 — on German and on
-the synthetic planted-bias dataset, while evaluating strictly fewer
-candidates (one per distinct extent).
+What is pinned: with the ``series`` second-order estimator (smooth
+evaluation) the miner produces *identical* top-k explanations to the
+lattice — same pattern sets, scores equal to 1e-10 — on German and on the
+synthetic planted-bias dataset, while evaluating strictly fewer candidates
+(one per distinct extent).  That is not the paper's default estimator
+(the exact second-order variant), and the equivalence is not general:
+the engines apply heuristic 2 along different search paths, and on German
+with ``first_order`` their top-5 differ —
+``test_engines_diverge_on_german_first_order`` records that as a strict
+expected failure (ROADMAP open item 1).
 """
 
 import pytest
 
+from repro.bench.workloads import build_pipeline
 from repro.core import GopherConfig, GopherExplainer
+from repro.influence import make_estimator
 from repro.mining import (
-    CandidateEngine,
     CandidateResult,
     ClosedMiningEngine,
     LatticeEngine,
-    as_candidate_result,
     list_engines,
     make_engine,
 )
@@ -25,7 +30,7 @@ from tests.oracles.projection import forced_projection
 
 
 def top_k_pairs(result, k):
-    selected, _ = select_top_k(result, k, containment_threshold=0.5)
+    selected, _ = select_top_k(result.candidates, k, containment_threshold=0.5)
     return [(s.pattern, s.responsibility, s.support, s.bias_change) for s in selected]
 
 
@@ -111,6 +116,24 @@ class TestGermanEquivalence:
         assert mined.num_evaluated <= lattice.num_evaluated
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP open item 1 (one Algorithm 1): the engines apply heuristic 2 "
+    "along different search paths, and on German with first_order their "
+    "top-5 first differs at rank 2",
+)
+def test_engines_diverge_on_german_first_order():
+    bundle = build_pipeline("german")
+    estimator = make_estimator(
+        "first_order", bundle.model, bundle.X_train, bundle.train.labels,
+        bundle.metric, bundle.test_ctx,
+    )
+    opts = dict(support_threshold=0.05, max_predicates=3)
+    lattice = make_engine("lattice").generate(bundle.train.table, estimator, **opts)
+    mined = make_engine("mining").generate(bundle.train.table, estimator, **opts)
+    assert_identical_top_k(lattice, mined, 5)
+
+
 class TestSyntheticEquivalence:
     @pytest.fixture(scope="class", params=[2, 3], ids=["mp2", "mp3"])
     def engine_pair(self, request, synth_setup):
@@ -166,10 +189,6 @@ class TestEngineProtocol:
         with pytest.raises(ValueError, match="unknown candidate engine"):
             make_engine("apriori")
 
-    def test_both_satisfy_protocol(self):
-        assert isinstance(LatticeEngine(), CandidateEngine)
-        assert isinstance(ClosedMiningEngine(), CandidateEngine)
-
     def test_lattice_engine_wraps_compute_candidates(
         self, german_train, german_series_estimator
     ):
@@ -187,25 +206,16 @@ class TestEngineProtocol:
             s.pattern for s in direct.candidates
         ]
 
-    def test_as_candidate_result(self, german_train, german_series_estimator):
-        direct = compute_candidates(
-            german_train.table, german_series_estimator,
-            support_threshold=0.05, max_predicates=1,
-        )
-        wrapped = as_candidate_result(direct)
-        assert isinstance(wrapped, CandidateResult)
-        assert wrapped.num_candidates == direct.num_candidates
-        assert as_candidate_result(wrapped) is wrapped
-
-    def test_select_top_k_accepts_candidate_result(
+    def test_both_engines_return_one_result_type(
         self, german_train, german_series_estimator
     ):
-        result = ClosedMiningEngine().generate(
-            german_train.table, german_series_estimator,
-            support_threshold=0.05, max_predicates=1,
-        )
-        selected, _ = select_top_k(result, 2, containment_threshold=0.99)
-        assert 1 <= len(selected) <= 2
+        opts = dict(support_threshold=0.05, max_predicates=1)
+        for engine in (LatticeEngine(), ClosedMiningEngine()):
+            result = engine.generate(german_train.table, german_series_estimator, **opts)
+            assert isinstance(result, CandidateResult)
+            assert result.engine == engine.name
+            selected, _ = select_top_k(result.candidates, 2, containment_threshold=0.99)
+            assert 1 <= len(selected) <= 2
 
 
 class TestExplainerIntegration:

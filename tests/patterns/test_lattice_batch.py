@@ -17,7 +17,7 @@ import pytest
 from repro.fairness import FairnessContext, get_metric
 from repro.influence import make_estimator
 from repro.models import LogisticRegression
-from repro.patterns import compute_candidates
+from repro.patterns import compute_candidates, lattice
 from repro.patterns.pattern import Pattern
 from repro.patterns.predicate import Predicate
 from repro.tabular import Table
@@ -123,6 +123,12 @@ def boundary_setup():
 class TestSupportBoundary:
     TAU = 0.2
 
+    @pytest.fixture(autouse=True)
+    def _keep_every_support_survivor(self, monkeypatch):
+        # The boundary is about support alone: keep negative-responsibility
+        # survivors in the result too.
+        monkeypatch.setattr(lattice, "MIN_RESPONSIBILITY", -np.inf)
+
     def _candidates(self, boundary_setup, batch):
         table, estimator = boundary_setup
         result = compute_candidates(
@@ -131,7 +137,6 @@ class TestSupportBoundary:
             support_threshold=self.TAU,
             max_predicates=2,
             prune_by_responsibility=False,
-            min_responsibility=-np.inf,
         )
         return result.candidates
 

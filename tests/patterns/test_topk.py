@@ -53,17 +53,6 @@ class TestSelectTopK:
         selected, _ = select_top_k(candidates, k=5, containment_threshold=0.99)
         assert all(s.responsibility > 0 for s in selected)
 
-    def test_negative_allowed_when_requested(self):
-        pool = [
-            make_stats("p", [1, 1, 0, 0], 0.3),
-            make_stats("q", [0, 0, 1, 1], -0.5),  # disjoint, negative R
-        ]
-        selected, _ = select_top_k(
-            pool, k=5, containment_threshold=0.99,
-            require_positive_responsibility=False,
-        )
-        assert any(s.responsibility < 0 for s in selected)
-
     def test_k_respected(self, candidates):
         selected, _ = select_top_k(candidates, k=2, containment_threshold=0.99)
         assert len(selected) == 2
