@@ -1,24 +1,21 @@
-"""Woodbury-batched exact second-order influence vs the per-subset loop.
+"""Stacked exact second-order influence vs the per-subset loop.
 
 The ``exact`` variant solves a *different* reduced matrix ``n·H − m·H_S``
-per subset, so until the Woodbury batch it was the one influence path the
-lattice could not amortize: every query paid a fresh subset-Hessian build
-plus an O(p³) factorization.  The batch path rewrites each query as a
-rank-|S| downdate of the one cached eigendecomposition — a shifted
-diagonal solve plus an |S|×|S| capacitance system, block-batched across
-the mask batch (see ``repro.influence.second_order``).
+per subset, so a per-subset query pays a fresh subset-Hessian build plus
+an O(p³) factorization.  The batch path gathers the subsets' curvature
+rows into size-bucketed padded blocks, forms a bucket's reduced matrices
+with one batched matmul and factors and solves them with one stacked
+Cholesky, for every subset size (see ``repro.influence.second_order``).
 
 Three claims:
 
 1. **Query throughput** — m ``bias_change`` calls in a loop vs one
-   ``bias_change_batch`` over the same subsets (sizes drawn below the
-   ``|S| ≥ p`` crossover, where the Woodbury path applies), for growing
-   batch sizes on German/logistic.  Asserted ≥5× at m ≥ 256 (relaxed to
-   2.5× under ``--smoke`` for shared CI runners).
-2. **Routing accounting** — a mixed batch straddling the crossover is
-   reported with its ``exact_batch_stats`` split: the fast path must
-   carry the sub-crossover subsets while oversized ones take the dense
-   fallback (asserted: both routes used, nothing silently dropped).
+   ``bias_change_batch`` over the same subsets, for growing batch sizes
+   on German/logistic.  Asserted ≥5× at m ≥ 256 (relaxed to 2.5× under
+   ``--smoke`` for shared CI runners).
+2. **Routing accounting** — a mixed batch straddling |S| = p is reported
+   with its ``exact_batch_stats`` split: every subset, on either side of
+   p, must route ``stacked`` (asserted: no subset rerouted or dropped).
 3. **End-to-end parity** — the full lattice search under
    ``estimator="exact"`` with the per-subset reference loop
    (``tests/oracles/scalar_loop.py``) vs the batched search must produce
@@ -55,8 +52,8 @@ def _build(rows: int):
     return bundle, estimator
 
 
-def _woodbury_subsets(num_train: int, num_params: int, count: int, seed: int = 5):
-    """Random subsets sized below the |S| >= p crossover."""
+def _random_subsets(num_train: int, num_params: int, count: int, seed: int = 5):
+    """Random subsets sized between 10 and p."""
     rng = ensure_rng(seed)
     hi = max(num_params - 5, 12)
     sizes = rng.integers(10, hi, size=count)
@@ -81,7 +78,7 @@ def _throughput_rows(estimator, batch_sizes):
     rows, speedups = [], {}
     estimator.bias_change_batch([np.arange(10)])  # warm every cache
     for batch_size in batch_sizes:
-        subsets = _woodbury_subsets(
+        subsets = _random_subsets(
             estimator.num_train, estimator.model.num_params, batch_size
         )
         masks = subset_mask_matrix(subsets, estimator.num_train)
@@ -108,7 +105,7 @@ def _throughput_rows(estimator, batch_sizes):
 
 
 def _routing_row(estimator):
-    """A batch straddling the crossover: report how subsets were routed."""
+    """A batch straddling |S| = p: report how subsets were routed."""
     n, p = estimator.num_train, estimator.model.num_params
     rng = ensure_rng(9)
     small = [np.sort(rng.choice(n, size=int(s), replace=False))
@@ -120,13 +117,12 @@ def _routing_row(estimator):
     batch = estimator.bias_change_batch(masks)
     loop = np.array([estimator.bias_change(s) for s in small + large])
     assert float(np.abs(batch - loop).max()) < 1e-8
-    woodbury = estimator.exact_batch_stats["woodbury"] - before["woodbury"]
-    fallback = (
-        estimator.exact_batch_stats["fallback_size"] - before["fallback_size"]
-    )
-    assert woodbury == len(small), "sub-crossover subsets must ride the fast path"
-    assert fallback == len(large), "oversized subsets must take the dense fallback"
-    return [[len(small) + len(large), woodbury, fallback, f"p = {p}"]]
+    after = estimator.exact_batch_stats
+    stacked = after["stacked"] - before["stacked"]
+    fallback = sum(after[k] - before[k] for k in after if k.startswith("fallback"))
+    assert stacked == len(small) + len(large), "every subset must route stacked"
+    assert fallback == 0, "no subset may take a per-subset route"
+    return [[len(small) + len(large), stacked, fallback, f"p = {p}"]]
 
 
 def _parity_rows(bundle, estimator, max_predicates):
@@ -177,19 +173,19 @@ def test_exact_batch_throughput(benchmark, smoke):
     throughput, speedups, routing, parity = benchmark.pedantic(run, rounds=1, iterations=1)
     emit(
         render_table(
-            f"Woodbury-batched exact influence (German {rows_count}, loop vs one batch call)",
+            f"Stacked exact influence (German {rows_count}, loop vs one batch call)",
             ["batch", "loop subsets/s", "batch subsets/s", "speedup", "max |Δ|"],
             throughput,
-            note="subset sizes below the |S| >= p crossover; masks pre-built outside the timer",
+            note="subset sizes between 10 and p; masks pre-built outside the timer",
         ),
         filename="exact_batch_throughput.txt",
     )
     emit(
         render_table(
-            "Crossover routing (mixed batch)",
-            ["subsets", "woodbury", "dense fallback", "crossover"],
+            "Routing (mixed batch)",
+            ["subsets", "stacked", "per-subset fallback", "p"],
             routing,
-            note="exact_batch_stats split for a batch straddling |S| >= p",
+            note="exact_batch_stats split for a batch straddling |S| = p",
         ),
         filename="exact_batch_routing.txt",
     )

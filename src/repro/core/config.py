@@ -21,7 +21,7 @@ class GopherConfig:
         ``"series"`` name its two variants directly (the exact Newton step
         on the reduced objective vs the Eq. 10 Neumann truncation) — both
         run the search through batched influence queries, the exact variant
-        via Woodbury downdates of the cached factorization.  Switch to
+        via stacked Cholesky solves of the subsets' reduced matrices.  Switch to
         ``"first_order"`` for the fastest search on large candidate spaces.
     estimator_kwargs:
         Extra keyword arguments for the estimator constructor.

@@ -7,7 +7,7 @@ but almost all of the pipeline's start-up cost is question-independent:
 
 * **per-model** (once per session) — encoding the tables, fitting the
   model, the per-sample gradient matrix, the Hessian with its
-  factorization/eigendecomposition and rotated curvature caches
+  factorization and rank-one curvature factors
   (:class:`repro.influence.ModelArtifacts`), and the level-1 predicate
   alphabet with its packed tidlists
   (:class:`repro.mining.AlphabetCache`);
@@ -429,7 +429,7 @@ class AuditSession:
 
         ``fit`` builds the artifacts and alphabet *containers*; the heavy
         entries inside (per-sample gradients, the Hessian factorization,
-        the exact-variant eigenbasis rotations, the packed tidlists, the
+        the rank-one curvature factors, the packed tidlists, the
         per-group fairness contexts) are built lazily by the first query.
         ``warm()`` runs those builds up front, so after it returns, queries
         against the configured (estimator, engine, group) defaults are pure
@@ -449,7 +449,6 @@ class AuditSession:
         family, kwargs = resolve_estimator(name, self._estimator_kwargs_for(name))
         self.artifacts.warm(
             damping=float(kwargs.get("damping", 0.0)),  # type: ignore[arg-type]
-            exact=family == "second_order" and kwargs.get("variant", "exact") == "exact",
             learning_rate=family == "one_step_gd"
             and kwargs.get("learning_rate", "auto") == "auto",
         )
@@ -691,8 +690,8 @@ class AuditSession:
         """Apply a training-data edit to every shared cache, in place.
 
         The dataset, the encoded training matrix, the influence artifacts
-        (gradients, Hessian, solver factorizations/eigendecompositions,
-        rotated curvature caches) and the candidate alphabet are all
+        (gradients, Hessian, rank-one factors, solver factorizations)
+        and the candidate alphabet are all
         *patched* for the edit — nothing heavy is rebuilt, which is the
         point: the counters under ``session.stats`` show ``*_builds`` /
         ``hessian_factorizations`` unchanged and the edit cost under

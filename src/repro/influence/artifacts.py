@@ -4,12 +4,10 @@ Every influence estimator's "start-up" cost (the fixed cost the paper's
 Figure 5 measures) splits cleanly in two:
 
 * **per-model** — the per-sample training gradient matrix, the training
-  Hessian, its Cholesky factorization and (for the Woodbury-batched exact
-  second-order variant) its eigendecomposition with the rotated gradient /
-  curvature caches, the rank-one Hessian factors, and the one-step "auto"
-  learning rate.  None of these depend on the fairness metric, the
-  protected group, or the estimator's evaluation mode — only on the fitted
-  model and the training matrix.
+  Hessian and its Cholesky factorization, the rank-one Hessian factors,
+  and the one-step "auto" learning rate.  None of these depend on the
+  fairness metric, the protected group, or the estimator's evaluation
+  mode — only on the fitted model and the training matrix.
 * **per-query** — ∇_θF of the metric surrogate, the original bias, and the
   (metric, group)-bound :class:`~repro.fairness.metrics.FairnessContext`.
 
@@ -22,7 +20,7 @@ cheap per-query state.  Without an explicit bundle every estimator builds
 a private one, so the single-estimator construction path is unchanged.
 
 ``stats`` counts the heavy builds (``per_sample_grad_builds``,
-``hessian_builds``, ``hessian_factorizations``, ``exact_rotation_builds``)
+``hessian_builds``, ``hessian_factorizations``, ``rank_one_factor_builds``)
 so callers — the audit benchmark in particular — can *assert* that a
 multi-query workload paid for each exactly once.
 """
@@ -54,8 +52,8 @@ class ModelArtifacts:
     X_train / y_train:
         The encoded training data the model was fitted on.
 
-    All caches are lazy: a first-order estimator never triggers the
-    eigendecomposition, a retraining estimator never builds the Hessian.
+    All caches are lazy: a first-order estimator never builds the rank-one
+    factors, a retraining estimator never builds the Hessian.
     """
 
     def __init__(
@@ -82,10 +80,8 @@ class ModelArtifacts:
                 "hessian_factorizations": 0,
                 "rank_one_factor_builds": 0,
                 "learning_rate_builds": 0,
-                "exact_rotation_builds": 0,
                 "edits": 0,
                 "solver_updates": 0,
-                "exact_rotation_patches": 0,
                 "gradient_sum_cache_hits": 0,
                 "gradient_sum_cache_misses": 0,
                 "param_change_cache_hits": 0,
@@ -96,15 +92,14 @@ class ModelArtifacts:
             namespace="influence",
         )
         # One re-entrant lock covers every lazy build and extent cache, so a
-        # cold bundle can serve mixed concurrent queries: exact_rotation
-        # re-enters hessian_factors/solver/per_sample_grads while held.
+        # cold bundle can serve mixed concurrent queries: solver re-enters
+        # hessian while held.
         self._lock = threading.RLock()
         stats = self.stats
         self._per_sample_grads = Lazy(self._lock, stats, counter="per_sample_grad_builds")
         self._hessian = Lazy(self._lock, stats, counter="hessian_builds")
         self._solvers = Lazy(self._lock, stats, counter="hessian_factorizations")
         self._factors = Lazy(self._lock, stats, counter="rank_one_factor_builds")
-        self._exact_rot = Lazy(self._lock, stats, counter="exact_rotation_builds")
         self._learning_rate = Lazy(self._lock, stats, counter="learning_rate_builds")
         self._update_state = Lazy(self._lock, stats, counter="update_context_builds")
         # Extent caches: packed-row bytes → metric-independent per-row
@@ -184,10 +179,9 @@ class ModelArtifacts:
     def solver(self, damping: float = 0.0) -> HessianSolver:
         """The shared :class:`HessianSolver` for a damping value.
 
-        One factorization (and, lazily, one eigendecomposition) serves
-        every estimator requesting the same damping — estimators of
-        different metrics, groups, and second-order variants all hit the
-        same cached factor.
+        One factorization serves every estimator requesting the same
+        damping — estimators of different metrics, groups, and
+        second-order variants all hit the same cached factor.
         """
         key = float(damping)
         return self._solvers.get(lambda: HessianSolver(self.hessian, damping=key), key)
@@ -201,35 +195,6 @@ class ModelArtifacts:
             return self.model.hessian_factors(self.X_train, self.y_train)
         except NotImplementedError:
             return None
-
-    def exact_rotation(self, damping: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenbasis-rotated (per-sample grads, √w-scaled curvature rows).
-
-        The Woodbury-batched exact second-order path works in the
-        eigenbasis of the damped Hessian; rotating the (n, p) gradient and
-        curvature matrices costs two n·p² GEMMs, paid once per damping and
-        reused by every exact estimator sharing the bundle (θ* is fixed,
-        so the rotation never changes).  Requires usable factors — callers
-        check :meth:`hessian_factors` first.
-        """
-        key = float(damping)
-        return self._exact_rot.get(lambda: self._build_exact_rotation(key), key)
-
-    def _build_exact_rotation(self, damping: float) -> tuple[np.ndarray, np.ndarray]:
-        with trace.span("artifacts.exact_rotation", n=self.num_train) as s:
-            factors = self.hessian_factors()
-            if factors is None:
-                raise ValueError("model exposes no rank-one Hessian factors to rotate")
-            phi, weights, _ = factors
-            eigvecs = self.solver(damping).eigendecomposition()[1]
-            curved = weights > 0.0
-            sqrt_w = np.sqrt(weights, where=curved, out=np.zeros_like(weights))
-            p = eigvecs.shape[0]
-            s.add("gemm_flops", 2.0 * 2 * self.num_train * p * p)
-            return (
-                self.per_sample_grads @ eigvecs,
-                (phi * sqrt_w[:, None]) @ eigvecs,
-            )
 
     # ------------------------------------------------------------------
     def apply_edit(
@@ -251,15 +216,14 @@ class ModelArtifacts:
 
         Nothing is rebuilt.  The Hessian is patched through the subset
         identity ``n'·H' = n·H − k·H(removed) + k·H(added) + Δ(relabelled)``
-        (the L2 terms cancel exactly); the gradient matrix, rank-one
-        factors, and exact-rotation row caches are patched row-wise; and
-        every cached :class:`HessianSolver` is advanced through
+        (the L2 terms cancel exactly); the gradient matrix and rank-one
+        factors are patched row-wise; and every cached
+        :class:`HessianSolver` is advanced through
         :meth:`HessianSolver.updated` — a rank-k eigenbasis update when the
         model exposes Hessian factors, a dense congruence otherwise, never
         a Cholesky refactorization (``hessian_factorizations`` stays put;
-        the new work lands under ``solver_updates`` /
-        ``exact_rotation_patches``).  Unbuilt caches stay lazy and will be
-        built against the edited data on first use.
+        the new work lands under ``solver_updates``).  Unbuilt caches stay
+        lazy and will be built against the edited data on first use.
 
         θ is *not* refit — influence debugging asks "how would the bias
         move if we trained on the edited data", and every estimator measures
@@ -369,14 +333,14 @@ class ModelArtifacts:
                 update_vectors = np.vstack(vec_parts)
                 update_weights = np.concatenate(weight_parts) / n_new
 
-        # -- solvers (and their exact-rotation row caches) -----------------
+        # -- solvers ------------------------------------------------------
         scale = n / n_new
         for key, old_solver in self._solvers.items():
             if new_hessian is None:
                 raise RuntimeError("solver cache exists without a built hessian")
             if update_vectors is not None:
                 shift = (old_solver.damping_used + l2_ridge) * (1.0 - scale)
-                new_solver, W = old_solver.updated(
+                new_solver = old_solver.updated(
                     new_hessian,
                     update_vectors=update_vectors,
                     update_weights=update_weights,
@@ -384,27 +348,7 @@ class ModelArtifacts:
                     shift=shift,
                 )
             else:
-                new_solver, W = old_solver.updated(new_hessian)
-            rotation = self._exact_rot.peek(key)
-            if rotation is not None:
-                Q = old_solver.eigendecomposition()[1]
-                grad_rot, curve_rot = rotation
-                if relabel.size:
-                    grad_rot = grad_rot.copy()
-                    curve_rot = curve_rot.copy()
-                    curved = w_rel > 0.0
-                    sqrt_w = np.sqrt(w_rel, where=curved, out=np.zeros_like(w_rel))
-                    grad_rot[relabel] = grads_rel @ Q
-                    curve_rot[relabel] = (phi_rel * sqrt_w[:, None]) @ Q
-                grad_rot = grad_rot[keep]
-                curve_rot = curve_rot[keep]
-                if k_add:
-                    curved = w_add > 0.0
-                    sqrt_w = np.sqrt(w_add, where=curved, out=np.zeros_like(w_add))
-                    grad_rot = np.vstack([grad_rot, grads_add @ Q])
-                    curve_rot = np.vstack([curve_rot, (phi_add * sqrt_w[:, None]) @ Q])
-                self._exact_rot.set((grad_rot @ W, curve_rot @ W), key)
-                self.stats.inc("exact_rotation_patches")
+                new_solver = old_solver.updated(new_hessian)
             self._solvers.set(new_solver, key)
             self.stats.inc("solver_updates")
 
@@ -538,31 +482,20 @@ class ModelArtifacts:
             return self.hessian, self.auto_learning_rate()
 
     # ------------------------------------------------------------------
-    def warm(
-        self,
-        damping: float = 0.0,
-        exact: bool = False,
-        learning_rate: bool = False,
-    ) -> "ModelArtifacts":
+    def warm(self, damping: float = 0.0, learning_rate: bool = False) -> "ModelArtifacts":
         """Eagerly build every cache a read-only serving path would touch.
 
-        After ``warm()`` the query methods (``solver``, ``per_sample_grads``,
-        ``exact_rotation`` for the warmed damping, …) are pure reads: the
-        frozen/concurrent read path never triggers a lazy build.  ``exact``
-        additionally builds the eigendecomposition and rotated curvature
-        caches of the Woodbury-batched exact path (skipped automatically
-        when the model exposes no usable factors); ``learning_rate`` builds
-        the shared one-step η.  Idempotent — every build is counted by its
-        own stats entry exactly once.
+        After ``warm()`` the query methods (``solver`` for the warmed
+        damping, ``per_sample_grads``, ``hessian_factors``, …) are pure
+        reads: the frozen/concurrent read path never triggers a lazy
+        build.  ``learning_rate`` also builds the shared one-step η.
+        Idempotent — every build is counted by its own stats entry exactly
+        once.
         """
         _ = self.per_sample_grads
         _ = self.hessian
-        solver = self.solver(damping)
-        factors = self.hessian_factors()
-        if exact:
-            _ = solver.eigendecomposition()
-            if factors is not None and factors[1].min() >= 0.0:
-                _ = self.exact_rotation(damping)
+        _ = self.solver(damping)
+        _ = self.hessian_factors()
         if learning_rate:
             _ = self.auto_learning_rate()
         return self

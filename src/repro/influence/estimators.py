@@ -20,8 +20,8 @@ bias — lives in a :class:`repro.influence.artifacts.ModelArtifacts`
 bundle; by default each estimator builds a private bundle, and passing a
 shared one (``make_estimator(..., artifacts=...)``) lets estimators of
 *different* metrics, protected groups, and second-order variants reuse
-one gradient matrix, one Hessian factorization, and one set of rotated
-curvature caches — the per-model vs per-query split
+one gradient matrix, one Hessian factorization, and one set of rank-one
+curvature factors — the per-model vs per-query split
 :class:`repro.core.AuditSession` amortizes across a whole audit.  After
 start-up the two query paths differ:
 
@@ -38,13 +38,12 @@ start-up the two query paths differ:
   subsets — the amortized batch influence queries the lattice search
   (``repro.patterns.lattice``) is built on.  The exact
   second-order variant is the one closed form whose per-subset matrix
-  differs across the batch (``n·H − m·H_S``); its batch path solves each
-  subset as a rank-|S| Woodbury downdate of the cached eigendecomposition
-  — one shifted multi-RHS solve plus an |S|×|S| capacitance system per
-  subset, block-batched — instead of a fresh O(p³) refactorization,
-  falling back to the per-subset dense path only when |S| ≥ p or the
-  downdate is detected ill-conditioned (see
-  ``repro.influence.second_order``).
+  differs across the batch (``n·H − m·H_S``); its batch path gathers the
+  subsets' curvature rows into size-bucketed blocks, forms a bucket's
+  reduced matrices with one batched matmul and factors and solves them
+  with one stacked Cholesky, for every subset size — the per-subset
+  Python loop runs only for a bucket holding a matrix that is not
+  positive definite (see ``repro.influence.second_order``).
 
 Batches are given as a :class:`repro.mining.bitset.Extents` — m removal
 extents held as packed rows or as sorted index arrays, always with the row
@@ -61,14 +60,16 @@ Extents
 Batches are scored ``_PACKED_CHUNK`` extents at a time.  Packed rows are
 never unpacked into an (m, n) matrix: gradient sums run through
 :meth:`Extents.row_sums`, a column-blocked unpack-and-GEMM, and the exact
-second-order path unpacks bounded boolean blocks.  Packed rows are keyed
+second-order path unpacks one row at a time to gather its curvature rows.  Packed rows are keyed
 by their bytes in the shared extent caches, so a lattice batch and a
 mining chunk of the same extent share one Δθ.
 
 Sparse rows (the miner's compressed tidlists) cost O(|S|) each to gather —
 never O(n) to unpack — so a batch of small extents over a 10M-row table
 touches only the rows it names.  The gradient-sum estimators gather-sum
-them; the second-order and base hooks loop the scalar closed form.  Sparse
+them and the exact second-order path gathers their curvature rows
+directly; the series second-order and base hooks loop the scalar closed
+form.  Sparse
 rows bypass the extent caches (packing each subset just to key a cache
 would reintroduce the O(n/8) per-subset cost this form exists to avoid) —
 deduplication is the caller's job, which the mining cache already
@@ -431,7 +432,7 @@ def make_estimator(
 
     Pass ``artifacts=ModelArtifacts(model, X_train, y_train)`` to share the
     metric-independent start-up caches (per-sample gradients, Hessian
-    factorization, rotated curvature rows) across many estimators of the
+    factorization, rank-one curvature factors) across many estimators of the
     same fitted model — the amortization a multi-metric, multi-group audit
     lives on.  Omitted, each estimator builds a private bundle.
     """

@@ -37,8 +37,8 @@ class HessianSolver:
         if hessian.ndim != 2 or hessian.shape[0] != hessian.shape[1]:
             raise ValueError(f"hessian must be square, got shape {hessian.shape}")
         # Cheap max-abs check: np.allclose costs ~80µs of broadcasting
-        # machinery per call, which dominates the ctor when the exact
-        # estimator's dense fallback builds thousands of small solvers.
+        # machinery per call, which would dominate the ctor of the small
+        # per-subset solvers (scalar exact Δθ, the stacked-solve reroute).
         tolerance = 1e-8 + 1e-5 * np.abs(hessian).max(initial=0.0)
         if np.abs(hessian - hessian.T).max(initial=0.0) > tolerance:
             raise ValueError("hessian must be symmetric")
@@ -46,8 +46,8 @@ class HessianSolver:
         self.hessian = hessian
         self.damping_used = 0.0
         self.stats = StatsView({"eigendecompositions": 0}, namespace="hessian")
-        # Both lazy slots share the solver's one lock: the exact estimator's
-        # dense fallback builds thousands of small solvers per audit.
+        # Both lazy slots share the solver's one lock: one lock per solver
+        # keeps the small per-subset solvers cheap to build.
         self._lock = threading.RLock()
         self._factor = Lazy(self._lock)
         self._eig = Lazy(self._lock, self.stats, counter="eigendecompositions")
@@ -131,7 +131,7 @@ class HessianSolver:
         update_weights: np.ndarray | None = None,
         scale: float = 1.0,
         shift: float = 0.0,
-    ) -> tuple["HessianSolver", np.ndarray]:
+    ) -> "HessianSolver":
         """A solver for ``new_hessian`` derived from this solver's eigenbasis.
 
         With rank-k factors the caller certifies the identity
@@ -147,11 +147,9 @@ class HessianSolver:
         ``(Λ', Q·W)`` without any Cholesky refactorization.  Without
         factors the dense congruence ``T = Qᵀ(new_hessian + d₀·I)Q`` is
         used instead — same rotation trick, O(p³) GEMMs but still no
-        factorization.
-
-        Returns ``(solver, W)``; ``W`` is the basis change from the old
-        eigenbasis to the new, so row caches rotated by ``Q`` (the exact
-        second-order rotation caches) become current via one ``@ W``.
+        factorization.  This is how
+        :meth:`repro.influence.artifacts.ModelArtifacts.apply_edit` advances
+        every cached solver through a training-data edit.
         """
         rank = -1 if update_vectors is None else int(np.shape(update_vectors)[0])
         with trace.span("hessian.update", dim=self.dim, rank=rank):
@@ -172,55 +170,22 @@ class HessianSolver:
                     matrix = matrix + self.damping_used * np.eye(self.dim)
                 core = eigvecs.T @ matrix @ eigvecs
             new_eigvals, W = linalg.eigh(core, check_finite=False)
-            solver = HessianSolver.from_eigendecomposition(
+            return HessianSolver.from_eigendecomposition(
                 new_hessian, new_eigvals, eigvecs @ W, damping=self.damping_used
             )
-            return solver, W
 
     def eigendecomposition(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigendecomposition ``(eigvals, eigvecs)`` of the damped matrix.
 
-        Computed lazily and cached.  A Cholesky factor cannot absorb a
-        per-system scalar shift, but in the eigenbasis ``(M + s·I)⁻¹`` is a
-        diagonal rescale, so one O(p³) decomposition serves solves against
-        *every* shift.  The Woodbury-batched exact second-order influence
-        path consumes this decomposition directly (it fuses the rescale
-        into its whitened capacitance algebra); :meth:`shifted_solve_many`
-        is the standalone-solve form of the same primitive for other
-        callers.
+        Computed lazily and cached.  :meth:`updated` starts from it: a
+        training-data edit rotates the update into this eigenbasis and
+        lands directly in the new one, so edits never refactorize.
         """
         return self._eig.get(self._eigendecompose)
 
     def _eigendecompose(self) -> tuple[np.ndarray, np.ndarray]:
         with trace.span("hessian.eigendecomposition", dim=self.dim):
             return linalg.eigh(self._damped(), check_finite=False)
-
-    def shifted_solve_many(self, B: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-        """Solve ``(M + shift_k·I) x_k = b_k`` for every row ``b_k`` of B.
-
-        ``M`` is the damped matrix this solver factorized; ``shifts`` is a
-        scalar per row (broadcast from a scalar applies one shift to all).
-        Returns the solutions as rows, aligned with ``B``.  Raises
-        ``LinAlgError`` when any shifted matrix is not positive definite —
-        callers batching over subsets should pre-screen shifts against
-        ``eigendecomposition()[0]`` and route offenders to a fallback.
-        """
-        B = np.asarray(B, dtype=np.float64)
-        if B.ndim != 2 or B.shape[1] != self.dim:
-            raise ValueError(f"B must have shape (k, {self.dim}), got {B.shape}")
-        shifts = np.broadcast_to(np.asarray(shifts, dtype=np.float64), (B.shape[0],))
-        if B.shape[0] == 0:
-            return np.zeros_like(B)
-        with trace.span("hessian.solve", n=self.dim, rhs=B.shape[0], shifted=True) as s:
-            eigvals, eigvecs = self.eigendecomposition()
-            denom = eigvals[None, :] + shifts[:, None]  # (k, p)
-            if denom.min() <= 0.0:
-                raise np.linalg.LinAlgError(
-                    "shifted matrix is not positive definite (eigenvalue "
-                    f"{denom.min():.3e} after shift)"
-                )
-            s.add("solve_flops", 4.0 * self.dim * self.dim * B.shape[0])
-            return ((B @ eigvecs) / denom) @ eigvecs.T
 
     def _factorize(self, hessian: np.ndarray, damping: float):
         with trace.span("hessian.factorize", dim=self.dim) as s:
@@ -286,6 +251,43 @@ class HessianSolver:
         if self.damping_used:
             out = out + self.damping_used * x
         return out
+
+
+def solve_stacked(
+    matrices: np.ndarray, rhs: np.ndarray, damping: float = 0.0
+) -> tuple[np.ndarray, bool]:
+    """Solve ``(M_k + damping·I) x_k = b_k`` for a ``(b, p, p)`` stack of M's.
+
+    The stacked form of ``HessianSolver(M_k, damping).solve(b_k)``, the
+    batched exact second-order influence's one factorization: a stacked
+    Cholesky tests every matrix for positive definiteness, then one
+    stacked solve answers the whole stack.  If any matrix fails the test,
+    every matrix goes through its own :class:`HessianSolver` instead — the
+    same ×10 damping escalation the per-matrix form applies — so stacked
+    and per-matrix answers agree on singular and indefinite matrices too.
+
+    ``rhs`` is ``(b, p)``.  Returns ``(solutions, rerouted)``: the
+    solutions as rows aligned with ``rhs``, and whether the stack took the
+    per-matrix route.
+    """
+    matrices = np.asarray(matrices, dtype=np.float64)
+    rhs = np.asarray(rhs, dtype=np.float64)
+    if rhs.ndim != 2 or matrices.shape != (rhs.shape[0], rhs.shape[1], rhs.shape[1]):
+        raise ValueError(
+            f"matrices must have shape (b, p, p) matching rhs (b, p); got "
+            f"{matrices.shape} and {rhs.shape}"
+        )
+    num, dim = rhs.shape
+    with trace.span("hessian.solve", n=dim, rhs=num, stacked=True) as s:
+        damped = matrices + damping * np.eye(dim) if damping else matrices
+        try:
+            np.linalg.cholesky(damped)
+        except np.linalg.LinAlgError:
+            solutions = [HessianSolver(m, damping=damping).solve(b) for m, b in zip(matrices, rhs)]
+            return np.stack(solutions), True
+        # One Cholesky (p³/3) and one LU solve (2p³/3 + 2p²) per system.
+        s.add("solve_flops", num * (dim**3 + 2.0 * dim * dim))
+        return np.linalg.solve(damped, rhs[:, :, None])[:, :, 0], False
 
 
 def largest_eigenvalue(hessian: np.ndarray) -> float:

@@ -13,25 +13,19 @@ Two variants are provided:
 
   This is the closed form the series below truncates; it is exact for
   quadratic losses.  Per-subset queries factorize the reduced matrix
-  directly; *batched* queries avoid the per-subset O(p³) refactorization
-  via a Woodbury downdate of the one cached factorization.  With the
-  rank-one factors ``m·H_S = Σ_{i∈S} w_i φ_i φ_iᵀ + m·ridge·I`` the
-  reduced matrix is a rank-|S| downdate of a scalar-shifted base,
+  directly.  *Batched* queries form every subset's reduced matrix from
+  the model's rank-one factors ``m·H_S = Σ_{i∈S} w_i φ_i φ_iᵀ + m·ridge·I``:
 
-      n·H − m·H_S + d·I = B_m − V Vᵀ,
-      B_m = n·H + (d − m·ridge)·I,   V = [√w_i φ_i]_{i∈S, w_i>0},
+      n·H − m·H_S = n·H − Φ_Sᵀ diag(w_S) Φ_S − m·ridge·I,
 
-  so each subset costs one diagonal rescale in the cached eigenbasis
-  (:meth:`HessianSolver.eigendecomposition`; the shift depends on |S|, so
-  no single Cholesky factor can serve the batch) plus one |S|×|S|
-  capacitance system ``C = I − Vᵀ B_m⁻¹ V``, solved for the whole batch
-  as padded rank-bucketed block factorizations.  Subsets fall back to the
-  per-subset dense
-  refactorization when the capacitance would be at least p×p (``|S| ≥ p``
-  counting rows with nonzero curvature weight — the downdate is then no
-  cheaper than refactorizing), when the model exposes no usable factors,
-  or when the shifted spectrum / capacitance is detected ill-conditioned
-  (``exact_batch_stats`` counts every routing decision).
+  gathering the subsets' curvature rows into padded, size-bucketed
+  blocks so one batched matmul forms a whole bucket's matrices and one
+  stacked Cholesky factors and solves them
+  (:func:`repro.influence.hessian.solve_stacked`).  The same path serves
+  every subset size.  A bucket holding a matrix that is not positive
+  definite reroutes each of its subsets through the scalar solver's
+  damping escalation, and models without rank-one factors loop the
+  scalar query (``exact_batch_stats`` counts every routing decision).
 
 * ``variant="series"`` — the first-order Neumann expansion of that solve,
   matching the structure of the paper's Eq. 10:
@@ -47,41 +41,44 @@ Two variants are provided:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
-from scipy.linalg import lapack
 
 from repro.fairness.metrics import FairnessContext, FairnessMetric
 from repro.influence.artifacts import ModelArtifacts
 from repro.influence.estimators import InfluenceEstimator
-from repro.influence.hessian import HessianSolver
+from repro.influence.hessian import HessianSolver, solve_stacked
 from repro.mining.bitset import Extents
 from repro.models.base import TwiceDifferentiableClassifier
 from repro.obs import trace
 from repro.obs.metrics import StatsView
 
-# Batched queries unpack at most this many subsets into boolean masks at a
-# time, so the mask blocks and the exact path's padded (block, r_max, p)
-# downdate tensors stay bounded however large the batch is (mirrors
+# Batched queries of either variant work on at most this many subsets at
+# a time, so every per-block transient (mask blocks, row indices, g_S
+# rows) stays bounded however large the batch is (mirrors
 # estimators._PACKED_CHUNK).
 _EXACT_BLOCK = 256
 
-# A capacitance (or shifted-spectrum) eigenvalue ratio below this routes the
-# subset to the dense fallback: the Woodbury solve would amplify rounding
-# error past the batch == loop contract instead of failing loudly.
-_EXACT_RCOND = 1e-10
+# A size bucket's padded (subsets, r_max, p) row block holds at most this
+# many cells (a single subset wider than the budget gets a bucket of its
+# own), so the gathered blocks stay small next to the model's own state:
+# on the German exact audit, 2**21 cells raised peak RSS from 122 to
+# 150 MB at no gain in speed, while 2**18 kept it at 124 MB.
+_EXACT_CELLS = 2**18
 
 
 class SecondOrderInfluence(InfluenceEstimator):
     """Eq. 10: group influence with the curvature correction.
 
     ``exact_batch_stats`` counts, cumulatively over all batched queries of
-    the ``"exact"`` variant, how each subset was routed: ``"woodbury"``
-    (capacitance downdate against the cached factorization),
-    ``"fallback_size"`` (|S| ≥ p — refactorizing is no slower),
-    ``"fallback_cond"`` (ill-conditioned shifted spectrum or capacitance,
-    detected before solving), and ``"fallback_factors"`` (the model exposes
-    no usable rank-one Hessian factors).  Every fallback runs the same
-    per-subset dense refactorization as the scalar :meth:`param_change`.
+    the ``"exact"`` variant, how each subset was routed: ``"stacked"``
+    (solved in a stacked Cholesky bucket; an empty subset's Δθ = 0 needs
+    no solve), ``"fallback_not_pd"`` (its bucket held a reduced matrix
+    that is not positive definite, so every subset of the bucket took the
+    scalar solver's damping escalation), and ``"fallback_factors"`` (the
+    model exposes no rank-one Hessian factors; the scalar
+    :meth:`param_change` loop).
     """
 
     def __init__(
@@ -101,10 +98,9 @@ class SecondOrderInfluence(InfluenceEstimator):
         super().__init__(model, X_train, y_train, metric, test_ctx, evaluation, artifacts)
         self.variant = variant
         self.damping = damping
-        # Hessian, factorization, rank-one factors, and the eigenbasis
-        # rotations all live in the (possibly shared) artifacts bundle:
-        # estimators of different metrics / groups / variants with the same
-        # damping reuse one factorization and one set of rotated caches.
+        # Hessian, factorization and rank-one factors live in the (possibly
+        # shared) artifacts bundle: estimators of different metrics /
+        # groups / variants with the same damping reuse one factorization.
         self.hessian = self.artifacts.hessian
         self.solver = self.artifacts.solver(damping)
         # Per-estimator registry: routing counts are asserted per instance
@@ -113,30 +109,17 @@ class SecondOrderInfluence(InfluenceEstimator):
         # concurrent batched queries (this retires the old lossy-increment
         # pragma on the fallback_factors site).
         self.exact_batch_stats = StatsView(
-            {
-                "woodbury": 0,
-                "fallback_size": 0,
-                "fallback_cond": 0,
-                "fallback_factors": 0,
-            },
+            {"stacked": 0, "fallback_not_pd": 0, "fallback_factors": 0},
             namespace="exact_batch",
         )
 
     def _extent_cache_spec(self) -> tuple:
         return ("second_order", self.variant, float(self.damping))
 
-    def warm(self) -> "SecondOrderInfluence":
-        super().warm()
-        factors = self._hessian_factors()
-        if self.variant == "exact" and factors is not None and factors[1].min() >= 0.0:
-            _ = self.solver.eigendecomposition()
-            _ = self.artifacts.exact_rotation(self.damping)
-        return self
-
     def param_change(self, indices: np.ndarray) -> np.ndarray:
         # The whole per-subset preparation (validation, gradient sum, the
-        # subset Hessian, the reduced matrix) is one leaf span so the dense
-        # fallback's cost attribution lands on a measurable name.
+        # subset Hessian, the reduced matrix) is one leaf span so the
+        # scalar path's cost attribution lands on a measurable name.
         with trace.span("influence.subset_hessian") as prep_span:
             indices = self._subset_size_ok(indices)
             if indices.size == 0:
@@ -167,31 +150,25 @@ class SecondOrderInfluence(InfluenceEstimator):
         multi-RHS solve for ``u_S = H⁻¹ g_S``, three matrix products for
         every ``H_S u_S``, and one more multi-RHS solve for the correction.
         The ``"exact"`` variant solves a *different* reduced matrix
-        ``n·H − m·H_S`` per subset; with rank-one factors that is a
-        rank-|S| Woodbury downdate of a scalar-shifted base, so the batch
-        becomes shifted solves in the cached eigenbasis plus one small
-        capacitance system per subset (see the module docstring), with a
-        per-subset dense-refactorization fallback.  Models without factor
-        structure fall back to the scalar loop for both variants, and so do
-        sparse rows, which these boolean-block kernels would have to
-        unpack.
+        ``n·H − m·H_S`` per subset: the batch forms those matrices from the
+        gathered curvature rows and solves them stacked (see the module
+        docstring and :meth:`_exact_param_change_from_extents`).  Models
+        without factor structure loop the scalar query for both variants;
+        so do sparse rows under ``"series"``, whose boolean-block kernel
+        would have to unpack them.
         """
-        if extents.sparse:
-            return super()._param_change_from_extents(extents)
-        num_subsets = len(extents)
         factors = self._hessian_factors()
         if self.variant == "exact":
-            if factors is None or factors[1].min() < 0.0:
-                # No rank-one structure (or weights that cannot be √-split
-                # into a symmetric downdate): every subset refactorizes.
-                self.exact_batch_stats.inc("fallback_factors", num_subsets)
+            if factors is None:
+                self.exact_batch_stats.inc("fallback_factors", len(extents))
                 return super()._param_change_from_extents(extents)
             return self._exact_param_change_from_extents(extents, factors)
-        if factors is None:
+        if factors is None or extents.sparse:
             return super()._param_change_from_extents(extents)
         phi, weights, ridge = factors
         n = self.num_train
         p = self.model.num_params
+        num_subsets = len(extents)
         sizes = extents.sizes.astype(np.float64)
         grad_sums = self.artifacts.gradient_sums(extents)
         u = self.solver.solve_many(grad_sums)  # (m, p) rows = H⁻¹ g_S
@@ -217,194 +194,71 @@ class SecondOrderInfluence(InfluenceEstimator):
     def _exact_param_change_from_extents(
         self, extents: Extents, factors: tuple[np.ndarray, np.ndarray, float]
     ) -> np.ndarray:
-        """Woodbury-batched exact Δθ's (see the module docstring).
+        """Stacked exact Δθ's (see the module docstring).
 
-        For each subset S: ``(n·H − m·H_S + d·I) = B_m − V Vᵀ`` with
-        ``B_m = n·H + (d − m·ridge)·I`` and ``V`` the √w-scaled curvature
-        rows of S, so
-
-            Δθ = B_m⁻¹ g_S + B_m⁻¹ V (I − Vᵀ B_m⁻¹ V)⁻¹ Vᵀ B_m⁻¹ g_S.
-
-        ``B_m⁻¹`` rides the solver's cached eigendecomposition (the shift
-        depends on |S|, so no single Cholesky factor can serve the batch);
-        the capacitance systems are solved as padded block factorizations
-        per _EXACT_BLOCK subsets with a per-subset conditioning detector
-        (see :meth:`_solve_capacitance`).  Zero-curvature rows (w_i = 0)
-        drop out of V exactly.  Subsets with |S| ≥ p curvature rows, a
-        nonpositive shifted spectrum, or a capacitance condition estimate
-        below _EXACT_RCOND are routed to the scalar dense path instead.
+        Per block of _EXACT_BLOCK subsets: ``g_S`` for the whole block is
+        one mask GEMM (sparse rows gather-sum only the rows they name).
+        Each size bucket (:func:`_size_buckets`) gathers its subsets'
+        curvature rows ``φ_i`` and weights ``w_i`` into a padded
+        ``(subsets, r_max, p)`` block — padding slots weigh 0, so they add
+        nothing to a Gram — forms every ``Φ_Sᵀ diag(w_S) Φ_S`` with one
+        batched matmul, and hands the reduced matrices to
+        :func:`~repro.influence.hessian.solve_stacked`.  Empty subsets keep
+        Δθ = 0, the scalar shortcut.
         """
         phi, weights, ridge = factors
         n, p = self.num_train, self.model.num_params
-        d = self.damping
-        d0 = self.solver.damping_used
-        eigvals, eigvecs = self.solver.eigendecomposition()
-        curved = weights > 0.0
-        all_curved = bool(curved.all())
-        # Eigenbasis-rotated per-sample gradients and √w-scaled curvature
-        # rows, built lazily on the first batched exact query (θ* is fixed,
-        # so they never change) and shared through the artifacts bundle:
-        # mask blocks hit the eigenbasis directly and the per-call rotation GEMMs
-        # disappear — for every estimator riding the bundle, not just this
-        # one.
-        psg_rot, phi_rot = self.artifacts.exact_rotation(self.damping)
+        grads = self.per_sample_grads
+        base = n * self.hessian
+        diag = np.arange(p)
         stats = self.exact_batch_stats
-        deltas = np.empty((len(extents), p))
-        for start, block in extents.bool_blocks(_EXACT_BLOCK):
-            sizes = block.sum(axis=1)
-            # B_m = n·(M + s·I) for the solver's damped matrix M, so one
-            # cached eigendecomposition serves every subset size.
-            shifts = (d - sizes * ridge) / n - d0
-            spectrum_lo = eigvals[0] + shifts
-            spectrum_ok = spectrum_lo > _EXACT_RCOND * np.abs(eigvals[-1] + shifts)
-            blockc = block if all_curved else block & curved[None, :]
-            ranks = sizes if all_curved else blockc.sum(axis=1)
-            # A-priori conditioning certificate: the damped reduced matrix
-            # is Σ_{i∉S} w φφᵀ + γ·I with γ = (n−m)·ridge + d, so
-            # λmin(C) ≥ γ / λmax(B_m) and λmax(C) ≤ 1.  Subsets whose bound
-            # clears the routing threshold with three orders of margin are
-            # *provably* well-conditioned and skip per-subset detection
-            # entirely; only the rest (e.g. unregularized models) pay it.
-            gamma = (n - sizes) * ridge + d
-            spectrum_hi = n * (eigvals[-1] + shifts)
-            assured = (spectrum_hi > 0) & (gamma > _EXACT_RCOND * 1e3 * spectrum_hi)
-            take = spectrum_ok & (ranks < p)
-            stats.inc("fallback_size", int((ranks >= p).sum()))
-            stats.inc("fallback_cond", int((~spectrum_ok & (ranks < p)).sum()))
-            wood = np.flatnonzero(take)
-            if wood.size:
-                # Process the Woodbury subsets rank-sorted in power-of-two
-                # buckets: the capacitance stage pads every subset in a
-                # bucket to the widest rank, so bucketing bounds the padding
-                # waste at 2x instead of letting one wide subset inflate the
-                # whole block.
-                wood = wood[np.argsort(ranks[wood], kind="stable")]
-                # Everything below runs in the *whitened* eigenbasis of the
-                # damped matrix: with s = 1/√denom, B_m⁻¹ = diag(s)·diag(s),
-                # the capacitance is the symmetric I − Tsq Tsqᵀ for
-                # Tsq = V Q diag(s), and only the finished Δθ's rotate back.
-                sqrt_inv = 1.0 / np.sqrt(n * (eigvals[None, :] + shifts[wood, None]))
-                with trace.span("influence.gemm", m=int(wood.size), n=n, p=p) as sp:
-                    sp.add("gemm_flops", 2.0 * wood.size * n * p)
-                    g_hat = (block[wood].astype(np.float64) @ psg_rot) * sqrt_inv
-                # np.nonzero walks the gathered mask rows in batch order, so
-                # the flat curvature rows line up with the rank-sorted
-                # subsets.
-                cat = np.nonzero(blockc[wood])[1]
-                offsets = np.concatenate([[0], np.cumsum(ranks[wood])])
-                wr = ranks[wood]
-                bad = np.zeros(wood.size, dtype=bool)
-                block_assured = bool(assured[wood].all())
-                with trace.span("influence.capacitance", subsets=int(wood.size)):
-                    lo = 0
-                    while lo < wood.size:
-                        width = max(int(wr[lo]), 1)
-                        hi = int(np.searchsorted(wr, 2 * width, side="left"))
-                        hi = max(hi, lo + 1)
-                        bad[lo:hi] = self._exact_capacitance_correction(
-                            g_hat[lo:hi],
-                            sqrt_inv[lo:hi],
-                            phi_rot,
-                            cat[offsets[lo] : offsets[hi]],
-                            wr[lo:hi],
-                            block_assured,
-                        )
-                        lo = hi
-                stats.inc("fallback_cond", int(bad.sum()))
-                stats.inc("woodbury", int((~bad).sum()))
-                with trace.span("influence.gemm", m=int((~bad).sum()), n=p, p=p, kind="rotate") as sp:
-                    sp.add("gemm_flops", 2.0 * (~bad).sum() * p * p)
-                    deltas[start + wood[~bad]] = (g_hat * sqrt_inv)[~bad] @ eigvecs.T
-                take[wood[bad]] = False
-            fallback = np.flatnonzero(~take)
-            if fallback.size:
-                with trace.span("influence.dense_fallback", subsets=int(fallback.size)):
-                    for j in fallback:
-                        deltas[start + j] = self.param_change(np.flatnonzero(block[j]))
+        deltas = np.zeros((len(extents), p))
+        for start in range(0, len(extents), _EXACT_BLOCK):
+            block = extents.select(slice(start, start + _EXACT_BLOCK))
+            sizes = block.sizes
+            work = 2.0 * p * (int(sizes.sum()) if block.sparse else len(block) * n)
+            with trace.span("influence.gemm", m=len(block), n=n, p=p, kind="gradient_sum") as sp:
+                sp.add("gemm_flops", work)
+                g_sums = block.row_sums(grads)
+                # Every subset's rows back to back, subset j's from offsets[j].
+                flat = np.concatenate([*block.index_rows()]).astype(np.int64, copy=False)
+            offsets = np.cumsum(sizes) - sizes
+            stats.inc("stacked", int((sizes == 0).sum()))  # Δθ = 0, no solve
+            for picked in _size_buckets(sizes, p):
+                ranks = sizes[picked]
+                slots = np.arange(int(ranks.max()))
+                with trace.span("influence.gemm", m=picked.size, n=slots.size, p=p, kind="gram") as sp:
+                    sp.add("gemm_flops", 2.0 * picked.size * slots.size * p * p)
+                    # A padding slot repeats some real row at weight 0.
+                    pad = flat[np.minimum(offsets[picked][:, None] + slots, flat.size - 1)]
+                    rows = phi[pad]
+                    valid = slots < ranks[:, None]
+                    weighted = rows * np.where(valid, weights[pad], 0.0)[:, :, None]
+                    reduced = weighted.transpose(0, 2, 1) @ rows  # the Grams
+                    np.subtract(base, reduced, out=reduced)
+                    reduced[:, diag, diag] -= (ranks * ridge)[:, None]
+                solved, rerouted = solve_stacked(reduced, g_sums[picked], self.damping)
+                deltas[start + picked] = solved
+                stats.inc("fallback_not_pd" if rerouted else "stacked", int(picked.size))
         return deltas
-
-    def _exact_capacitance_correction(
-        self,
-        g_hat: np.ndarray,
-        sqrt_inv: np.ndarray,
-        phi_rot: np.ndarray,
-        cat: np.ndarray,
-        ranks: np.ndarray,
-        assured: bool = False,
-    ) -> np.ndarray:
-        """Apply ``(I − Tsq Tsqᵀ)``'s Woodbury correction to ``g_hat``.
-
-        In the whitened basis the downdated solve is simply
-
-            Δθ_hat = ĝ + Tsqᵀ C⁻¹ Tsq ĝ,   C = I − Tsq Tsqᵀ,
-
-        with ``Tsq`` the bucket's √denom-whitened curvature rows, gathered
-        by ``cat`` (training-row index per flat row, back to back per
-        subset) and scattered into a tensor padded to the bucket's widest
-        downdate rank.  Padding rows of Tsq are zero, so each padded
-        capacitance is the true one plus an identity block and the
-        block-batched factorizations stay exact.  The correction is added
-        to ``g_hat`` in place.  Returns the boolean mask of subsets whose
-        capacitance failed the conditioning test (their rows are left
-        unfinished — the caller reroutes them to the dense path).
-        """
-        num, rmax = len(ranks), int(ranks.max(initial=0))
-        if rmax == 0:
-            return np.zeros(num, dtype=bool)
-        row_of = np.repeat(np.arange(num), ranks)
-        slot_of = np.arange(len(row_of)) - np.repeat(np.cumsum(ranks) - ranks, ranks)
-        Tsq = np.zeros((num, rmax, phi_rot.shape[1]))
-        Tsq[row_of, slot_of] = phi_rot[cat] * sqrt_inv[row_of]
-        C = np.eye(rmax)[None, :, :] - Tsq @ Tsq.transpose(0, 2, 1)
-        t = (Tsq @ g_hat[:, :, None])[:, :, 0]
-        z, bad = self._solve_capacitance(C, t, assured)
-        g_hat[~bad] += (z[:, None, :] @ Tsq)[:, 0, :][~bad]
-        return bad
-
-    def _solve_capacitance(
-        self, C: np.ndarray, t: np.ndarray, assured: bool
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Solve every capacitance system ``C_j z_j = t_j`` in the block.
-
-        ``assured=True`` means every subset carries the a-priori
-        positive-definiteness/conditioning certificate (see the caller), so
-        one batched solve is all that is needed.  Without the certificate:
-        one batched Cholesky over the stack — which is also the
-        positive-definiteness test — with ill-conditioning screened by the
-        Cholesky pivot ratio min(L_jj²)/max(L_jj²) (a near-singular
-        capacitance shows up as a collapsed pivot); only the screened
-        suspects pay a LAPACK ``dpocon`` reciprocal condition estimate
-        (the screen is six orders of magnitude more lenient than the
-        routing threshold, so a subset must clear a wide margin to skip
-        confirmation).  If any capacitance in the stack is not even PD the
-        whole bucket retries on the robust eigendecomposition path, which
-        pins down the offending subsets individually.  Returns
-        ``(z, bad)``; rows of ``z`` flagged bad are unusable and must be
-        rerouted.
-        """
-        if assured:
-            return np.linalg.solve(C, t[:, :, None])[:, :, 0], np.zeros(C.shape[0], dtype=bool)
-        try:
-            L = np.linalg.cholesky(C)
-        except np.linalg.LinAlgError:
-            return self._solve_capacitance_eigh(C, t)
-        pivots = np.diagonal(L, axis1=1, axis2=2) ** 2
-        suspect = pivots.min(axis=1) <= (_EXACT_RCOND * 1e6) * pivots.max(axis=1)
-        bad = np.zeros(C.shape[0], dtype=bool)
-        for j in np.flatnonzero(suspect):
-            anorm = float(np.abs(C[j]).sum(axis=0).max())
-            rcond, info = lapack.dpocon(L[j], anorm, uplo="L")
-            bad[j] = info != 0 or rcond <= _EXACT_RCOND
-        return np.linalg.solve(C, t[:, :, None])[:, :, 0], bad
-
-    @staticmethod
-    def _solve_capacitance_eigh(C: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lam, Qc = np.linalg.eigh(C)
-        bad = (lam[:, 0] <= 0.0) | (lam[:, 0] <= _EXACT_RCOND * lam[:, -1])
-        lam_safe = np.where(lam <= 0.0, 1.0, lam)
-        t_hat = (Qc.transpose(0, 2, 1) @ t[:, :, None])[:, :, 0]
-        z = (Qc @ (t_hat / lam_safe)[:, :, None])[:, :, 0]
-        return z, bad
 
     def _hessian_factors(self) -> tuple[np.ndarray, np.ndarray, float] | None:
         return self.artifacts.hessian_factors()
+
+
+def _size_buckets(sizes: np.ndarray, width: int) -> Iterator[np.ndarray]:
+    """Indices of the nonempty subsets, in stacked-solve buckets.
+
+    Subsets are sorted by size into power-of-two buckets, so padding to a
+    bucket's widest subset at most doubles its rows, and a bucket is split
+    so its padded ``(subsets, r_max, width)`` block stays within
+    _EXACT_CELLS.
+    """
+    order = np.argsort(sizes, kind="stable")
+    order = order[sizes[order] > 0]
+    exponents = np.frexp(sizes[order])[1]
+    for bucket in np.split(order, np.flatnonzero(np.diff(exponents)) + 1):
+        if bucket.size:  # splitting an empty order yields one empty piece
+            step = max(1, _EXACT_CELLS // (int(sizes[bucket[-1]]) * width))
+            for lo in range(0, bucket.size, step):
+                yield bucket[lo : lo + step]

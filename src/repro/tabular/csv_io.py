@@ -7,6 +7,7 @@ a user has them on disk; the offline default is the synthetic generators.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 from repro.tabular.table import Table
@@ -17,7 +18,10 @@ def read_csv(path: str | Path, numeric_columns: set[str] | None = None) -> Table
 
     Columns listed in ``numeric_columns`` are parsed as floats; any other
     column whose every value parses as a float is also treated as numeric,
-    the rest become categorical.
+    the rest become categorical.  A numeric column must hold finite
+    numbers: a ``nan``/``inf`` cell, or a forced-numeric cell that does not
+    parse, raises ``ValueError`` naming the file, the column and the row
+    (counted from 1 after the header).
     """
     path = Path(path)
     with path.open(newline="") as handle:
@@ -37,10 +41,17 @@ def read_csv(path: str | Path, numeric_columns: set[str] | None = None) -> Table
     for j, name in enumerate(header):
         raw = [row[j] for row in rows]
         force_numeric = numeric_columns is not None and name in numeric_columns
-        if force_numeric or _all_floatable(raw):
-            data[name] = [float(v) for v in raw]
-        else:
+        parsed = [_float(v) for v in raw]
+        if None in parsed and not force_numeric:
             data[name] = raw
+            continue
+        for i, (cell, value) in enumerate(zip(raw, parsed), 1):
+            if value is None or not math.isfinite(value):
+                raise ValueError(
+                    f"{path}: numeric column {name!r} row {i} holds {cell!r}, "
+                    "which is not a finite number"
+                )
+        data[name] = parsed
     return Table.from_dict(data)
 
 
@@ -56,10 +67,8 @@ def write_csv(table: Table, path: str | Path) -> None:
             writer.writerow([materialized[name][i] for name in names])
 
 
-def _all_floatable(values: list[object]) -> bool:
+def _float(value: str) -> float | None:
     try:
-        for v in values:
-            float(v)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        return False
-    return True
+        return float(value)
+    except ValueError:
+        return None

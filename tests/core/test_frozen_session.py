@@ -105,8 +105,6 @@ def _hammer(session: AuditSession):
 LAZY_ARRAYS = {
     "per_sample_grads": lambda s: s.artifacts.per_sample_grads,
     "hessian": lambda s: s.artifacts.hessian,
-    "eigendecomposition": lambda s: s.artifacts.solver(0.0).eigendecomposition()[1],
-    "exact_rotation": lambda s: s.artifacts.exact_rotation(0.0)[1],
     "packed_tidlists": lambda s: _alphabet(s).miner_items()[1],
     "fairness_context": lambda s: s.context_for().privileged,
     "X_test": lambda s: s.X_test,

@@ -22,7 +22,7 @@ ATOL = 1e-10
 
 # (estimator name, constructor kwargs) — every closed-form family, with both
 # second-order variants: "series" takes the fully-batched GEMM path, "exact"
-# the Woodbury/capacitance downdate path (its dedicated suite is
+# the stacked Cholesky path (its dedicated suite is
 # test_exact_batch_equivalence.py; here it rides the shared contract).
 ESTIMATOR_CONFIGS = [
     pytest.param(("first_order", {}), id="first_order"),

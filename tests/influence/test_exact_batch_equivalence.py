@@ -1,14 +1,13 @@
-"""Cross-estimator equivalence for the Woodbury-batched ``exact`` variant.
+"""Cross-estimator equivalence for the stacked batched ``exact`` variant.
 
 The acceptance contract of the batched exact second-order path: for every
-built-in model × fairness metric × damping ∈ {0, 1e-3}, the Woodbury/
-capacitance batch must reproduce the per-subset dense-refactorization loop
+built-in model × fairness metric × damping ∈ {0, 1e-3}, the stacked
+Cholesky batch must reproduce the per-subset dense-refactorization loop
 to 1e-8 — including the edge batches (empty subset, singletons, a subset
-duplicated within the batch, near-full subsets) and batches that straddle
-the ``|S| ≥ p`` crossover where individual subsets route to the dense
-fallback mid-batch — for both dense boolean-mask and packed uint8 inputs.
-Any drift between the downdate algebra and the scalar Newton step fails
-here first.
+duplicated within the batch, near-full subsets, sizes on both sides of
+|S| = p) — for dense boolean-mask, packed uint8 and index-form inputs.
+Any drift between the gathered-Gram algebra and the scalar Newton step
+fails here first.
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ DAMPINGS = [0.0, 1e-3]
 def exact_data():
     """Small synthetic problem with a protected attribute and clear signal.
 
-    Sized so that the crossover |S| >= p is reachable by modest subsets for
-    every model (p = 6 for the linear models, 22 for the 3-unit network).
+    Sized so that |S| = p is reachable by modest subsets for every model
+    (p = 6 for the linear models, 22 for the 3-unit network).
     """
     rng = np.random.default_rng(42)
     n = 210
@@ -83,7 +82,7 @@ def get_exact(exact_data, fitted_models):
 
 
 def edge_subsets(num_train: int, p: int) -> list[np.ndarray]:
-    """Empty / singleton / duplicated / near-full / crossover-straddling."""
+    """Empty / singleton / duplicated / near-full / straddling |S| = p."""
     rng = np.random.default_rng(3)
     pick = lambda size: np.sort(rng.choice(num_train, size=size, replace=False))
     duplicated = pick(7)
@@ -92,9 +91,9 @@ def edge_subsets(num_train: int, p: int) -> list[np.ndarray]:
         np.array([int(rng.integers(num_train))]),  # singleton
         duplicated,
         duplicated.copy(),  # the same subset twice in one batch
-        np.arange(num_train - 1),  # near-full (always past the crossover)
-        pick(min(max(p - 1, 1), num_train - 2)),  # just below |S| >= p
-        pick(min(p, num_train - 2)),  # exactly at the crossover
+        np.arange(num_train - 1),  # near-full (always |S| > p)
+        pick(min(max(p - 1, 1), num_train - 2)),  # just below |S| = p
+        pick(min(p, num_train - 2)),  # exactly |S| = p
         pick(min(p + 3, num_train - 2)),  # just above
     ]
     subsets += [pick(int(s)) for s in rng.integers(2, num_train // 3, size=6)]
@@ -111,7 +110,7 @@ def _mask_matrix(subsets, n):
 @pytest.mark.parametrize("model_name", sorted(MODEL_BUILDERS))
 @pytest.mark.parametrize("metric_name", list_metrics())
 @pytest.mark.parametrize("damping", DAMPINGS, ids=["d0", "d1e-3"])
-class TestWoodburyMatchesDenseLoop:
+class TestStackedMatchesDenseLoop:
     def test_param_change(self, model_name, metric_name, damping, get_exact):
         est = get_exact(model_name, metric_name, damping)
         subsets = edge_subsets(est.num_train, est.model.num_params)
@@ -144,16 +143,39 @@ class TestWoodburyMatchesDenseLoop:
             rtol=0.0,
         )
 
+    def test_index_form_matches_packed_and_loop(
+        self, model_name, metric_name, damping, get_exact
+    ):
+        """Index-form extents gather their rows directly (no unpacking)."""
+        est = get_exact(model_name, metric_name, damping)
+        subsets = edge_subsets(est.num_train, est.model.num_params)
+        sparse = Extents(tuple(np.asarray(s, dtype=np.int64) for s in subsets), est.num_train)
+        packed = Extents.from_masks(_mask_matrix(subsets, est.num_train))
+        loop = np.stack([est.param_change(s) for s in subsets])
+        batch = est.param_change_batch(sparse)
+        np.testing.assert_allclose(batch, loop, atol=ATOL, rtol=0.0)
+        np.testing.assert_allclose(
+            batch, est.param_change_batch(packed), atol=1e-12, rtol=0.0
+        )
+
 
 class TestRoutingAccounting:
-    def test_straddling_batch_splits_between_paths(self, get_exact):
-        est = get_exact("logistic_regression", "statistical_parity", 0.0)
+    @pytest.mark.parametrize("model_name", sorted(MODEL_BUILDERS))
+    def test_straddling_batch_routes_every_subset_stacked(self, model_name, get_exact):
+        """Sizes on both sides of |S| = p share the one stacked path — for the
+        SVM too, whose zero-weight inactive-margin rows sit inside the
+        gathered Gram, and for the Gauss-Newton network."""
+        est = get_exact(model_name, "statistical_parity", 0.0)
+        if model_name == "linear_svm":
+            assert (est.artifacts.hessian_factors()[1] == 0.0).any()
         p = est.model.num_params
         before = dict(est.exact_batch_stats)
         subsets = [np.arange(3), np.arange(p - 1), np.arange(p), np.arange(p + 10)]
         est.param_change_batch(subsets)
-        assert est.exact_batch_stats["woodbury"] >= before["woodbury"] + 2
-        assert est.exact_batch_stats["fallback_size"] >= before["fallback_size"] + 2
+        after = est.exact_batch_stats
+        assert after["stacked"] == before["stacked"] + len(subsets)
+        assert after["fallback_not_pd"] == before["fallback_not_pd"]
+        assert after["fallback_factors"] == before["fallback_factors"]
 
     def test_fd_hessian_routes_whole_batch_to_loop(self, exact_data):
         X_train, y_train, ctx = exact_data
@@ -169,7 +191,7 @@ class TestRoutingAccounting:
         batch = est.param_change_batch(subsets)
         np.testing.assert_allclose(batch, loop, atol=ATOL, rtol=0.0)
         assert est.exact_batch_stats["fallback_factors"] == len(subsets)
-        assert est.exact_batch_stats["woodbury"] == 0
+        assert est.exact_batch_stats["stacked"] == 0
 
 
 class TestExactAlias:

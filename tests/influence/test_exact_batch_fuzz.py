@@ -1,10 +1,10 @@
-"""Seeded fuzz for the Woodbury-batched exact path.
+"""Seeded fuzz for the stacked batched exact path.
 
 Random tables × random mask batches: whatever the draw, the batched exact
 query must agree with the per-subset dense loop to 1e-8, and a genuinely
-rank-deficient reduced matrix must be *detected* — routed through the
-dense fallback (which reproduces the scalar damping escalation) — rather
-than silently solved through a singular capacitance.
+rank-deficient reduced matrix must be *detected* — rerouted through the
+scalar solver's damping escalation — rather than silently solved through
+a singular stacked factorization.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ def _random_problem(seed: int):
 
 
 def _random_batch(rng: np.random.Generator, n: int, p: int) -> list[np.ndarray]:
-    """Half the subsets drawn below the |S| >= p crossover (Woodbury), half
-    anywhere in [0, n) (mostly the dense fallback for these tiny models)."""
+    """Half the subsets drawn below |S| = p, half anywhere in [0, n) (mostly
+    above p for these tiny models)."""
     subsets = []
     for k in range(int(rng.integers(6, 11))):
         hi = min(p, n - 1) if k % 2 else n - 1
@@ -81,19 +81,21 @@ def test_fuzz_batch_matches_loop(seed):
         )
 
 
-def test_fuzz_exercises_woodbury_path():
-    """The fuzz is only meaningful if the fast path actually runs."""
-    est, _ = _random_problem(0)
-    below_crossover = [np.arange(size) for size in range(1, est.model.num_params)]
-    est.param_change_batch(below_crossover)
-    assert est.exact_batch_stats["woodbury"] == len(below_crossover)
+def test_fuzz_exercises_stacked_path():
+    """The fuzz is only meaningful if the stacked path actually runs — for
+    every subset, on both sides of |S| = p."""
+    est, rng = _random_problem(0)
+    subsets = _random_batch(rng, est.num_train, est.model.num_params)
+    est.param_change_batch(subsets)
+    assert est.exact_batch_stats["stacked"] == len(subsets)
+    assert est.exact_batch_stats["fallback_not_pd"] == 0
 
 
 def test_rank_deficient_subset_triggers_conditioning_fallback():
     """An unregularized model whose complement rows are rank deficient makes
-    ``n·H − m·H_S`` exactly singular: the capacitance detector must fire and
-    the batch must still match the scalar loop (which escalates damping),
-    not return a silently garbage Woodbury solve."""
+    ``n·H − m·H_S`` exactly singular: the stacked positive-definiteness test
+    must fire and the batch must still match the scalar loop (which
+    escalates damping), not return a silently garbage stacked solve."""
     rng = np.random.default_rng(7)
     base = rng.normal(size=(3, 3))
     X = np.vstack([base, np.tile(rng.normal(size=3), (27, 1))])
@@ -114,7 +116,7 @@ def test_rank_deficient_subset_triggers_conditioning_fallback():
     singular_subset = np.arange(3)
     healthy_subset = np.arange(3, 10)
     batch = est.param_change_batch([singular_subset, healthy_subset])
-    assert est.exact_batch_stats["fallback_cond"] >= 1
+    assert est.exact_batch_stats["fallback_not_pd"] >= 1
     loop = np.stack([est.param_change(s) for s in (singular_subset, healthy_subset)])
     np.testing.assert_allclose(batch, loop, atol=ATOL, rtol=0.0)
     assert np.isfinite(batch).all()

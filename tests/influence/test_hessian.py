@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.influence.hessian import HessianSolver, conjugate_gradient_solve
+from repro.influence.hessian import HessianSolver, conjugate_gradient_solve, solve_stacked
 
 
 @pytest.fixture
@@ -84,46 +84,39 @@ class TestEigendecomposition:
         np.testing.assert_allclose(eigvals, solver.damping_used, atol=1e-15)
 
 
-class TestShiftedSolveMany:
-    def test_zero_shift_matches_solve(self, spd_matrix):
-        solver = HessianSolver(spd_matrix)
-        B = np.random.default_rng(3).normal(size=(5, 8))
-        np.testing.assert_allclose(
-            solver.shifted_solve_many(B, np.zeros(5)), solver.solve_many(B), atol=1e-10
-        )
+class TestSolveStacked:
+    @staticmethod
+    def _stack(spd_matrix):
+        return np.stack([spd_matrix, spd_matrix + 2.0 * np.eye(8), 3.0 * spd_matrix])
 
-    def test_per_row_shifts(self, spd_matrix):
-        solver = HessianSolver(spd_matrix)
-        B = np.random.default_rng(4).normal(size=(3, 8))
-        shifts = np.array([0.1, 1.0, 7.5])
-        out = solver.shifted_solve_many(B, shifts)
-        for row, shift, x in zip(B, shifts, out):
-            expected = np.linalg.solve(spd_matrix + shift * np.eye(8), row)
-            np.testing.assert_allclose(x, expected, atol=1e-10)
+    @pytest.mark.parametrize("damping", [0.0, 1e-2])
+    def test_matches_per_matrix_solver(self, spd_matrix, damping):
+        stack = self._stack(spd_matrix)
+        rhs = np.random.default_rng(6).normal(size=(3, 8))
+        out, rerouted = solve_stacked(stack, rhs, damping)
+        assert not rerouted
+        for matrix, b, x in zip(stack, rhs, out):
+            np.testing.assert_allclose(
+                x, HessianSolver(matrix, damping=damping).solve(b), atol=1e-10
+            )
 
-    def test_scalar_shift_broadcasts(self, spd_matrix):
-        solver = HessianSolver(spd_matrix)
-        B = np.random.default_rng(5).normal(size=(4, 8))
-        np.testing.assert_allclose(
-            solver.shifted_solve_many(B, 0.5),
-            solver.shifted_solve_many(B, np.full(4, 0.5)),
-            atol=1e-14,
-        )
+    def test_not_pd_stack_reroutes_through_damping_escalation(self, spd_matrix):
+        singular = np.outer(np.arange(1.0, 9.0), np.arange(1.0, 9.0))  # rank one
+        stack = np.stack([spd_matrix, singular])
+        rhs = np.random.default_rng(7).normal(size=(2, 8))
+        out, rerouted = solve_stacked(stack, rhs)
+        assert rerouted
+        for matrix, b, x in zip(stack, rhs, out):
+            np.testing.assert_allclose(x, HessianSolver(matrix).solve(b), atol=1e-10)
+        assert np.isfinite(out).all()
 
-    def test_empty_batch(self, spd_matrix):
-        solver = HessianSolver(spd_matrix)
-        assert solver.shifted_solve_many(np.zeros((0, 8)), np.zeros(0)).shape == (0, 8)
+    def test_empty_stack(self):
+        out, rerouted = solve_stacked(np.zeros((0, 4, 4)), np.zeros((0, 4)))
+        assert out.shape == (0, 4) and not rerouted
 
-    def test_nonpositive_shifted_spectrum_raises(self, spd_matrix):
-        solver = HessianSolver(spd_matrix)
-        eigvals, _ = solver.eigendecomposition()
-        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-            solver.shifted_solve_many(np.ones((1, 8)), -(eigvals[0] + 1e-9))
-
-    def test_rejects_wrong_width(self, spd_matrix):
-        solver = HessianSolver(spd_matrix)
+    def test_rejects_mismatched_shapes(self, spd_matrix):
         with pytest.raises(ValueError, match="shape"):
-            solver.shifted_solve_many(np.ones((2, 7)), np.zeros(2))
+            solve_stacked(spd_matrix[None], np.ones((1, 7)))
 
 
 class TestConjugateGradient:

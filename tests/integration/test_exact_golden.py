@@ -2,7 +2,7 @@
 
 The engine-equivalence suite pins the series/default path; this locks the
 *exact* Newton-step estimator end to end for both candidate engines — the
-Woodbury batch drives the whole search, so any drift in the downdate
+stacked batch drives the whole search, so any drift in the gathered-Gram
 algebra, the fallback routing, or the engine plumbing shows up as a
 changed pattern or score here.  Values generated from the seed pipeline
 (German 800 / seed 11 / split 0.25 / logistic l2=1e-3, smooth evaluation,
@@ -57,11 +57,11 @@ class TestExactGolden:
         expected = {"lattice": 2273, "mining": 2133}
         assert result.lattice.num_evaluated == expected[engine]
 
-    def test_search_ran_on_woodbury_batches(self, exact_explanations):
-        """The search must actually exercise the batched exact fast path —
-        if every candidate fell back to the dense loop the golden values
-        would still pass but the tentpole would be dead code."""
+    def test_search_ran_on_stacked_batches(self, exact_explanations):
+        """The search must actually exercise the batched exact path — if
+        every candidate fell back to the scalar loop the golden values
+        would still pass but the stacked solve would be dead code."""
         _, gopher, _ = exact_explanations
         stats = gopher.estimator.exact_batch_stats
-        assert stats["woodbury"] > 0
+        assert stats["stacked"] > 0
         assert stats["fallback_factors"] == 0

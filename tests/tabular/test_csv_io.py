@@ -55,3 +55,18 @@ class TestErrors:
         path.write_text("a,b\n1,2\n3\n")
         with pytest.raises(ValueError, match="ragged"):
             read_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_numeric_cell(self, tmp_path, cell):
+        path = tmp_path / "n.csv"
+        path.write_text(f"age,job\n30,a\n{cell},b\n41,c\n")
+        message = rf"n\.csv: numeric column 'age' row 2 holds '{cell}', which is not a finite"
+        with pytest.raises(ValueError, match=message):
+            read_csv(path)
+
+    def test_forced_numeric_unparsable_cell(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("a,b\n1,x\n2,y\nthree,z\n")
+        message = r"f\.csv: numeric column 'a' row 3 holds 'three'"
+        with pytest.raises(ValueError, match=message):
+            read_csv(path, numeric_columns={"a"})

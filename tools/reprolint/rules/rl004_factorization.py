@@ -10,8 +10,8 @@ session's exactly-once accounting can't see.
 Matched calls: any ``*.linalg.<fn>`` attribute call (or a bare name
 imported from ``numpy.linalg`` / ``scipy.linalg``) with ``<fn>`` in the
 factorization set, where any argument's source matches the
-Hessian-name pattern.  Matrices that are not Hessian-shaped (capacitance
-blocks, covariance matrices, …) are deliberately out of scope.
+Hessian-name pattern.  Matrices that are not Hessian-shaped (covariance
+matrices, …) are deliberately out of scope.
 """
 
 from __future__ import annotations
